@@ -14,6 +14,7 @@
 #include "linalg/linalg.h"
 #include "memory/buffer_pool.h"
 #include "models/head.h"
+#include "models/moment.h"
 #include "obs/metrics.h"
 #include "obs/rolling.h"
 #include "optim/optim.h"
@@ -86,8 +87,7 @@ BENCHMARK(BM_GeluRow)->Arg(0)->Arg(1);
 
 // Int8 dynamically-quantized matmul (quantize activations per row, int32
 // accumulate, dequantize) against nothing but itself over sizes — the
-// fp32-vs-int8 end-to-end comparison lives in bench_micro_graph.cc as a
-// paired gate.
+// fp32-vs-int8 end-to-end comparison is the encoder-forward pair below.
 void BM_QuantMatMul(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(33);
@@ -102,6 +102,46 @@ void BM_QuantMatMul(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_QuantMatMul)->Arg(64)->Arg(256);
+
+// Quantized-inference pair: the same frozen encoder forward at bench scale
+// (MomentSmallConfig, d_model 64 / d_hidden 128 — the test config's d=16
+// matmuls are too small for quantization to pay for its per-row activation
+// pass) in fp32 against int8+SIMD. The paired CI gate requires
+// BM_EncoderForwardInt8 <= 0.67x BM_EncoderForwardFp32 (>= 1.5x speedup).
+// Each reports a `peak_bytes` counter: the BufferPool high-water delta of one
+// forward, measured after a warm-up forward and outside the timed loop.
+void RunEncoderForward(benchmark::State& state, bool int8) {
+  Rng rng(3);
+  models::MomentModel model(models::MomentSmallConfig(), &rng);
+  Tensor x = Tensor::RandN({4, 64, 8}, &rng);
+  const nn::ForwardContext ctx{false, nullptr};
+  simd::ScopedQuantMode quant(int8);
+  simd::ScopedSimdMode simd_on(int8);
+  ag::NoGradGuard guard;
+  if (int8) model.PrepareQuantized();  // scales computed once, as at load
+  const auto fwd = [&] {
+    ag::Var emb = model.EncodeChannels(ag::Constant(x), ctx);
+    benchmark::DoNotOptimize(emb.value().data());
+  };
+  auto& pool = memory::BufferPool::Instance();
+  fwd();  // warm pool freelists
+  const uint64_t before = pool.Snapshot().live_bytes;
+  pool.ResetPeak();
+  fwd();
+  state.counters["peak_bytes"] =
+      static_cast<double>(pool.Snapshot().peak_live_bytes - before);
+  for (auto _ : state) fwd();
+}
+
+void BM_EncoderForwardFp32(benchmark::State& state) {
+  RunEncoderForward(state, /*int8=*/false);
+}
+BENCHMARK(BM_EncoderForwardFp32);
+
+void BM_EncoderForwardInt8(benchmark::State& state) {
+  RunEncoderForward(state, /*int8=*/true);
+}
+BENCHMARK(BM_EncoderForwardInt8);
 
 void BM_BroadcastAdd(benchmark::State& state) {
   Rng rng(4);

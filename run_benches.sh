@@ -34,24 +34,8 @@ if [ "${TSFM_BENCH_BASELINE:-0}" = "1" ]; then
   # TSFM_NUM_THREADS is pinned to match the CI bench-regression job so the
   # baseline and the gated candidate run measure the same configuration.
   TSFM_NUM_THREADS=2 ./build/bench/bench_micro_kernels \
-    --benchmark_filter='BM_MatMulSquare|BM_FineTuneInnerLoopAlloc|BM_Predict|BM_SoftmaxRow|BM_GeluRow|BM_QuantMatMul' \
+    --benchmark_filter='BM_MatMulSquare|BM_FineTuneInnerLoopAlloc|BM_Predict|BM_SoftmaxRow|BM_GeluRow|BM_QuantMatMul|BM_EncoderForward' \
     --benchmark_min_time=0.1 \
     --benchmark_out="$TSFM_BENCH_OUT/BENCH_baseline.json" \
     --benchmark_out_format=json 2>/dev/null
-  # The encoder fp32/int8 pair (quantization speedup gate) comes from the
-  # graph micro-bench; merge it into the same baseline file.
-  TSFM_NUM_THREADS=2 ./build/bench/bench_micro_graph \
-    --benchmark_filter='BM_EncoderForwardFp32|BM_EncoderForwardInt8' \
-    --benchmark_min_time=0.2 \
-    --benchmark_out="$TSFM_BENCH_OUT/BENCH_baseline_graph.json" \
-    --benchmark_out_format=json 2>/dev/null
-  python3 - "$TSFM_BENCH_OUT" <<'PYEOF'
-import json, sys
-out = sys.argv[1]
-base = json.load(open(f"{out}/BENCH_baseline.json"))
-extra = json.load(open(f"{out}/BENCH_baseline_graph.json"))
-base["benchmarks"] += extra["benchmarks"]
-json.dump(base, open(f"{out}/BENCH_baseline.json", "w"), indent=1)
-PYEOF
-  rm -f "$TSFM_BENCH_OUT/BENCH_baseline_graph.json"
 fi

@@ -270,7 +270,6 @@ Result<RunRecord> ExperimentRunner::Run(const RunSpec& spec) {
     report.mem_acquires = static_cast<double>(mem.acquires);
     report.mem_pool_hits = static_cast<double>(mem.pool_hits);
     report.mem_heap_allocs = static_cast<double>(mem.heap_allocs);
-    report.graph_enabled = measured->graph_enabled;
     report.embed_mode = measured->embed_mode;
     for (const auto& t : measured->stage_timings) {
       report.stages.push_back(obs::RunReportStage{t.stage, t.seconds});

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/budget.h"
-#include "obs/metrics.h"
 #include "pipeline/registry.h"
 #include "resources/cost_model.h"
 #include "resources/measured.h"
@@ -178,20 +177,7 @@ Status TsfmClassifier::Fit(const data::TimeSeriesDataset& train,
   report.mem_acquires = static_cast<double>(mem.acquires);
   report.mem_pool_hits = static_cast<double>(mem.pool_hits);
   report.mem_heap_allocs = static_cast<double>(mem.heap_allocs);
-  report.graph_enabled = last_result_.graph_enabled;
   report.embed_mode = last_result_.embed_mode;
-  {
-    auto& reg = obs::Registry::Instance();
-    report.graph_captures =
-        static_cast<double>(reg.GetCounter("graph.captures")->value());
-    report.graph_executions =
-        static_cast<double>(reg.GetCounter("graph.executions")->value());
-    report.graph_eager_fallbacks =
-        static_cast<double>(reg.GetCounter("graph.eager_fallbacks")->value());
-    report.graph_fused_ops =
-        static_cast<double>(reg.GetCounter("graph.fused_ops")->value());
-    report.graph_peak_bytes = reg.GetGauge("graph.peak_bytes")->value();
-  }
   report.train_accuracy = last_result_.train_accuracy;
   report.test_accuracy = last_result_.test_accuracy;
   report.final_loss = last_result_.final_loss;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "graph/executor.h"
 #include "obs/budget.h"
 #include "obs/trace.h"
 #include "optim/optim.h"
@@ -104,10 +103,7 @@ Result<FineTuneResult> FineTuneWithHead(models::FoundationModel* model,
   obs::BeginBudgetRun();
   const auto t_start = Clock::now();
   FineTuneResult result;
-  result.graph_enabled = graph::GraphModeEnabled();
-  result.embed_mode = simd::QuantModeEnabled()
-                          ? "int8"
-                          : (result.graph_enabled ? "graph" : "eager");
+  result.embed_mode = simd::QuantModeEnabled() ? "int8" : "eager";
 
   auto norm = options.normalize ? std::make_shared<pipeline::NormalizeStage>()
                                 : nullptr;

@@ -1,31 +1,11 @@
 #include "models/foundation_model.h"
 
 #include "common/check.h"
-#include "simd/dispatch.h"
 
 namespace tsfm::models {
 
 ag::Var FoundationModel::EncodeChannels(const ag::Var& x,
                                         const nn::ForwardContext& ctx) const {
-  // Graph mode only replaces pure inference: with gradients enabled (or in
-  // training mode) the captured-Tensor result would sever the autograd tape,
-  // so those calls always run eager. Quant mode bypasses the graph executor
-  // outright — the int8 Linear forward already returns constants, and its
-  // output is identical either way, so capturing a plan would only add
-  // overhead (this is also what makes quant-mode results trivially
-  // bit-identical across --graph on/off).
-  if (graph::GraphModeEnabled() && !simd::QuantModeEnabled() &&
-      !ctx.training && !ag::GradEnabled()) {
-    Tensor out = graph_exec_.Run(x.value(), [this, &ctx](const ag::Var& in) {
-      return EncodeChannelsEager(in, ctx);
-    });
-    return ag::Constant(out);
-  }
-  return EncodeChannelsEager(x, ctx);
-}
-
-ag::Var FoundationModel::EncodeChannelsEager(
-    const ag::Var& x, const nn::ForwardContext& ctx) const {
   TSFM_CHECK_EQ(x.ndim(), 3) << "EncodeChannels expects (B, T, D)";
   const int64_t b = x.dim(0);
   const int64_t t = x.dim(1);

@@ -6,7 +6,6 @@
 
 #include "autograd/ops.h"
 #include "common/status.h"
-#include "graph/executor.h"
 #include "models/config.h"
 #include "nn/layers.h"
 #include "nn/module.h"
@@ -37,22 +36,7 @@ class FoundationModel : public nn::Module {
   /// embeddings are mean-pooled over patches, then over channels.
   /// Differentiable w.r.t. the input, so learnable adapters (lcomb) can be
   /// trained end-to-end through the frozen or unfrozen encoder.
-  ///
-  /// When graph mode is on (TSFM_GRAPH=1 / --graph) and this is a pure
-  /// inference call (no gradients, not training), the forward routes through
-  /// the per-model graph::Executor: captured once per input shape, then
-  /// replayed through the fused/memory-planned interpreter. The result is
-  /// bit-identical to eager; training and autograd always run eager.
   ag::Var EncodeChannels(const ag::Var& x, const nn::ForwardContext& ctx) const;
-
-  /// The eager forward, always available regardless of graph mode (and the
-  /// function the executor captures). Exposed for tests and benchmarks.
-  ag::Var EncodeChannelsEager(const ag::Var& x,
-                              const nn::ForwardContext& ctx) const;
-
-  /// Graph-mode executor for this model instance (compiled-plan
-  /// introspection in tests).
-  const graph::Executor& graph_executor() const { return graph_exec_; }
 
   /// Runs one self-supervised pretraining pass appropriate to the model
   /// (masked reconstruction for MOMENT, InfoNCE for ViT). Returns the mean
@@ -61,9 +45,6 @@ class FoundationModel : public nn::Module {
 
  protected:
   FoundationModelConfig config_;
-
- private:
-  mutable graph::Executor graph_exec_;
 };
 
 }  // namespace tsfm::models

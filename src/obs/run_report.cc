@@ -59,7 +59,7 @@ void AppendKeyNumber(std::string* out, const char* key, double value) {
 
 std::string RenderRunReportJson(const RunReport& r) {
   std::string out = "{\n";
-  out += "\"schema_version\":1,\n\"run\":{";
+  out += "\"schema_version\":2,\n\"run\":{";
   AppendKeyString(&out, "command", r.command);
   out += ",";
   AppendKeyString(&out, "model", r.model);
@@ -130,20 +130,7 @@ std::string RenderRunReportJson(const RunReport& r) {
   out += "},\n";
 
   out += "\"execution\":{";
-  out += "\"graph_enabled\":";
-  out += r.graph_enabled ? "true" : "false";
-  out += ",";
   AppendKeyString(&out, "embed_mode", r.embed_mode);
-  out += ",";
-  AppendKeyNumber(&out, "graph_captures", r.graph_captures);
-  out += ",";
-  AppendKeyNumber(&out, "graph_executions", r.graph_executions);
-  out += ",";
-  AppendKeyNumber(&out, "graph_eager_fallbacks", r.graph_eager_fallbacks);
-  out += ",";
-  AppendKeyNumber(&out, "graph_fused_ops", r.graph_fused_ops);
-  out += ",";
-  AppendKeyNumber(&out, "graph_peak_bytes", r.graph_peak_bytes);
   out += "},\n";
 
   out += "\"result\":{";

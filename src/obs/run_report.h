@@ -57,15 +57,8 @@ struct RunReport {
   double mem_pool_hits = 0;
   double mem_heap_allocs = 0;
 
-  // execution: how the encoder forwards ran (graph mode vs eager, plus the
-  // graph subsystem's counters at report time).
-  bool graph_enabled = false;
-  std::string embed_mode = "eager";  // "graph" | "eager" | "cache"
-  double graph_captures = 0;
-  double graph_executions = 0;
-  double graph_eager_fallbacks = 0;
-  double graph_fused_ops = 0;
-  double graph_peak_bytes = 0;
+  // execution: how the encoder forwards ran.
+  std::string embed_mode = "eager";  // "eager" | "int8" | "cache"
 
   // result: finetune::FineTuneResult of the run.
   double train_accuracy = 0;
@@ -88,7 +81,7 @@ struct RunReport {
   BudgetVerdict budget;
 };
 
-/// The report as a JSON document (schema_version 1; validated by
+/// The report as a JSON document (schema_version 2; validated by
 /// tools/check_report.py).
 std::string RenderRunReportJson(const RunReport& report);
 

@@ -31,10 +31,9 @@ struct SessionOptions {
 /// Thread-safety: `Predict` / `PredictBatch` / `Logits` / `Embed` are
 /// re-entrant — safe to call from many threads at once on one session, and
 /// bit-identical to the serial loop. Every call builds its own NoGradGuard
-/// (thread-local) and eval Rng; the encoder's graph executor is internally
-/// synchronized; nothing in the session mutates after construction. Sessions
-/// are created fitted and never refit — swap in a new session (see
-/// Registry) to change models.
+/// (thread-local) and eval Rng; nothing in the session mutates after
+/// construction. Sessions are created fitted and never refit — swap in a new
+/// session (see Registry) to change models.
 class InferenceSession {
  public:
   /// Validates and bundles the parts. `adapter` may be null (no adapter

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "graph/executor.h"
 #include "io/embed_cache.h"
 #include "io/hash.h"
 #include "obs/budget.h"
@@ -156,9 +155,7 @@ Result<Tensor> EmbedStage::Apply(const Tensor& x,
                              ctx.cache_salt, ctx.cache_stats, &mode);
   } else {
     // Per-request path: never hash the model per call.
-    mode = simd::QuantModeEnabled()
-               ? "int8"
-               : (graph::GraphModeEnabled() ? "graph" : "eager");
+    mode = simd::QuantModeEnabled() ? "int8" : "eager";
     emb = EmbedDataset(*model_, x, ctx.batch_size, ctx.seed);
   }
   if (ctx.embed_mode != nullptr) *ctx.embed_mode = mode;
@@ -307,7 +304,7 @@ std::string EmbedCacheKey(const models::FoundationModel& model,
   // Numeric mode is part of the key: SIMD transcendentals and the int8
   // Linear path produce results that differ (within the accuracy epsilon)
   // from the scalar fp32 kernels, so their embeddings must never share a
-  // cache entry with fp32 runs. Graph/eager stay unkeyed — see below.
+  // cache entry with fp32 runs.
   key.AddString(simd::QuantModeEnabled() ? "quant-int8" : "fp32");
   key.AddString(simd::SimdEnabled() ? "simd" : "scalar");
   key.AddU64(static_cast<uint64_t>(batch_size));
@@ -330,15 +327,7 @@ Tensor EmbedDatasetCached(const models::FoundationModel& model,
                           const Tensor& x, int64_t batch_size, uint64_t seed,
                           const std::string& salt,
                           const data::ChannelStats* stats, std::string* mode) {
-  // The cache key is deliberately independent of graph-vs-eager: those runs
-  // are bit-identical, so they share entries (asserted by the CI smoke test
-  // that warms the cache eager and hits it with --graph). Quant/SIMD modes
-  // ARE keyed (see EmbedCacheKey).
-  const char* encoder_mode = simd::QuantModeEnabled()
-                                 ? "int8"
-                                 : (graph::GraphModeEnabled() ? "graph"
-                                                              : "eager");
-  if (mode != nullptr) *mode = encoder_mode;
+  if (mode != nullptr) *mode = simd::QuantModeEnabled() ? "int8" : "eager";
   if (!io::EmbedCacheEnabled()) {
     return EmbedDataset(model, x, batch_size, seed);
   }

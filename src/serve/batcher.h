@@ -20,7 +20,10 @@ namespace tsfm::serve {
 /// Micro-batching knobs, mirroring every production model server: the first
 /// pending request opens a window of `window_us`; compatible requests
 /// arriving inside it are coalesced into one forward pass, capped at
-/// `max_batch` samples. window_us == 0 degenerates to per-request execution.
+/// `max_batch` samples. window_us == 0 skips the wait but still batches:
+/// each forward takes every compatible request that queued while the
+/// previous forward ran (up to `max_batch`), so under concurrent load
+/// requests still share forwards.
 struct BatchOptions {
   int64_t window_us = 1000;
   int64_t max_batch = 64;

@@ -2,9 +2,9 @@
 #define TSFM_SIMD_DISPATCH_H_
 
 // Mode flags and CPU dispatch for the vectorized math / quantized inference
-// paths. Mirrors the graph-mode gate (graph/executor.cc): each mode is a
-// process-wide atomic initialized from an environment variable and togglable
-// at runtime, with a scoped RAII override for tests and benchmarks.
+// paths. Each mode is a process-wide atomic initialized from an environment
+// variable and togglable at runtime, with a scoped RAII override for tests
+// and benchmarks.
 //
 //   TSFM_SIMD=1     / SetSimdMode(true)  -> vectorized exp/tanh/erf/GELU and
 //                                           fused softmax row kernels.

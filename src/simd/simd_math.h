@@ -18,9 +18,9 @@
 //     vector code perform identical operations per lane, a row kernel is
 //     BIT-IDENTICAL to applying the scalar reference element-wise, for any
 //     row length and any split point. This is what makes SIMD mode keep the
-//     repo's determinism contract for free: ParallelFor chunk boundaries and
-//     eager-vs-graph fusion both reduce to "same scalar function, different
-//     split", which cannot change any output bit.
+//     repo's determinism contract for free: ParallelFor chunk boundaries
+//     reduce to "same scalar function, different split", which cannot change
+//     any output bit.
 //
 //   * SIMD-mode results may differ from the std::exp/std::tanh scalar-mode
 //     kernels by a few ulps; the CI accuracy-epsilon gate bounds the

@@ -2,10 +2,10 @@
 
 #include <cmath>
 
-// Out-of-line homes for the multi-operation scalar transcendentals shared by
-// the eager elementwise kernels and the graph interpreter. See op_math.h for
-// why these must have exactly one machine-code instance; noinline keeps a
-// future LTO build from re-inlining them into differently-contracted copies.
+// Out-of-line homes for the multi-operation scalar transcendentals used by
+// the elementwise kernels. See op_math.h for why these must have exactly one
+// machine-code instance; noinline keeps a future LTO build from re-inlining
+// them into differently-contracted copies.
 namespace tsfm::ops::detail {
 
 __attribute__((noinline)) float GeluScalar(float x) {

@@ -1,29 +1,24 @@
 #ifndef TSFM_TENSOR_OP_MATH_H_
 #define TSFM_TENSOR_OP_MATH_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <vector>
-
-#include "tensor/tensor.h"
 
 // Shared scalar math for elementwise kernels.
 //
 // Every transcendental the encoder touches (GELU, sigmoid, softmax rows) is
-// defined exactly once and used by BOTH the eager kernels (tensor/ops.cc)
-// and the graph interpreter's fused loops (src/graph/). This is part of the
-// determinism contract: a fused loop applies the same scalar operations, in
-// the same order, as the chain of eager ops it replaces, so graph mode can
-// never drift numerically from eager mode.
+// defined exactly once, here, for the scalar-mode kernels in tensor/ops.cc.
 //
 // GeluScalar and SigmoidScalar are deliberately OUT-OF-LINE (op_math.cc,
 // compiled into tsfm_tensor): their bodies contain mul+add chains, and under
-// -ffp-contract=fast two inlined copies in TUs with different codegen flags
-// contract differently, producing 1-ulp divergence between eager and graph
-// mode. A single machine-code instance makes bit-identity structural rather
-// than a codegen accident. Single-operation helpers (ReluScalar) have
-// nothing to contract and stay inline.
+// -ffp-contract=fast where a copy is compiled decides how it contracts.
+// tsfm_tensor builds with -march=native (FMA) while other targets that
+// include this header, such as the tests, do not, so an inlined copy there
+// would round differently from the kernels by an ulp. A single machine-code
+// instance keeps every caller on the same bits. Single-operation helpers
+// (ReluScalar) have nothing to contract and stay inline.
 namespace tsfm::ops::detail {
 
 /// GELU, tanh approximation as used by transformers.
@@ -52,8 +47,8 @@ inline float RowMaxSkipNan(const float* row, int64_t len, bool* has_nan) {
 }
 
 /// Numerically stabilized softmax of one dense row; `out` may alias `row`.
-/// The accumulation order (ascending index, float accumulator) is the
-/// contract both the eager Softmax kernel and graph replay rely on.
+/// The accumulation order (ascending index, float accumulator) is fixed, so
+/// the result is independent of how rows are split across threads.
 ///
 /// Non-finite contract (the max-subtraction alone cannot rescue these rows —
 /// exp(-inf - -inf) and exp(nan) both poison the denominator):
@@ -123,40 +118,6 @@ inline void LogSoftmaxRow(const float* row, float* out, int64_t len) {
   for (int64_t i = 0; i < len; ++i) denom += std::exp(row[i] - mx);
   const float log_denom = std::log(denom) + mx;
   for (int64_t i = 0; i < len; ++i) out[i] = row[i] - log_denom;
-}
-
-/// Row-major strides for `shape`.
-inline std::vector<int64_t> RowMajorStrides(const Shape& shape) {
-  std::vector<int64_t> s(shape.size(), 1);
-  for (int64_t i = static_cast<int64_t>(shape.size()) - 2; i >= 0; --i) {
-    s[static_cast<size_t>(i)] = s[static_cast<size_t>(i + 1)] *
-                                shape[static_cast<size_t>(i + 1)];
-  }
-  return s;
-}
-
-/// Strides for reading tensor `t` (which may itself be a strided view) as if
-/// broadcast to `out_shape`: the view's actual strides on matching dims, 0 on
-/// broadcast dims. `t.shape()` is right-aligned against `out_shape`. Lets
-/// strided kernels consume views without materializing them.
-inline std::vector<int64_t> BroadcastViewStrides(const Tensor& t,
-                                                 const Shape& out_shape) {
-  const Shape& shape = t.shape();
-  std::vector<int64_t> out(out_shape.size(), 0);
-  const int64_t offset = static_cast<int64_t>(out_shape.size()) -
-                         static_cast<int64_t>(shape.size());
-  for (size_t i = 0; i < shape.size(); ++i) {
-    const size_t oi = static_cast<size_t>(offset) + i;
-    if (shape[i] == out_shape[oi]) {
-      out[oi] = t.strides()[i];
-    } else {
-      TSFM_CHECK_EQ(shape[i], 1)
-          << "broadcast mismatch " << ShapeToString(shape) << " vs "
-          << ShapeToString(out_shape);
-      out[oi] = 0;
-    }
-  }
-  return out;
 }
 
 }  // namespace tsfm::ops::detail

@@ -15,10 +15,39 @@ namespace tsfm {
 
 namespace {
 
-// Scalar math shared with the graph interpreter's fused loops; see
-// tensor/op_math.h for why these must be the single definition.
-using ops::detail::BroadcastViewStrides;
-using ops::detail::RowMajorStrides;
+// Row-major strides for `shape`.
+std::vector<int64_t> RowMajorStrides(const Shape& shape) {
+  std::vector<int64_t> s(shape.size(), 1);
+  for (int64_t i = static_cast<int64_t>(shape.size()) - 2; i >= 0; --i) {
+    s[static_cast<size_t>(i)] = s[static_cast<size_t>(i + 1)] *
+                                shape[static_cast<size_t>(i + 1)];
+  }
+  return s;
+}
+
+// Strides for reading tensor `t` (which may itself be a strided view) as if
+// broadcast to `out_shape`: the view's actual strides on matching dims, 0 on
+// broadcast dims. `t.shape()` is right-aligned against `out_shape`. Lets
+// strided kernels consume views without materializing them.
+std::vector<int64_t> BroadcastViewStrides(const Tensor& t,
+                                          const Shape& out_shape) {
+  const Shape& shape = t.shape();
+  std::vector<int64_t> out(out_shape.size(), 0);
+  const int64_t offset = static_cast<int64_t>(out_shape.size()) -
+                         static_cast<int64_t>(shape.size());
+  for (size_t i = 0; i < shape.size(); ++i) {
+    const size_t oi = static_cast<size_t>(offset) + i;
+    if (shape[i] == out_shape[oi]) {
+      out[oi] = t.strides()[i];
+    } else {
+      TSFM_CHECK_EQ(shape[i], 1)
+          << "broadcast mismatch " << ShapeToString(shape) << " vs "
+          << ShapeToString(out_shape);
+      out[oi] = 0;
+    }
+  }
+  return out;
+}
 
 // Work counters, one atomic add per *op call* (never per element): FLOPs
 // through the matmul kernel and bytes moved by elementwise/unary kernels.
@@ -424,76 +453,33 @@ void MatMulRowRange(const float* pa, const float* pb, float* po, int64_t r0,
   }
 }
 
-// C[r0:r1, :] = A[r0:r1, :] x B^T for one (m, k) x (n, k) problem: `pb`
-// holds the *untransposed* B, read strided along its rows. The loop nest is
-// a line-for-line mirror of MatMulRowRange — same tile shape, same nesting,
-// same accumulator layout — with only the B addressing changed. That is a
-// determinism requirement, not a style choice: under -ffp-contract=fast the
-// compiler fuses mul+add per accumulation step, and only a structurally
-// identical nest is guaranteed to contract identically, which is what makes
-// folding a TransposeLast2 into the matmul bit-exact against the eager
-// MatMul-on-packed-B^T path (guarded by the graph pass property test).
-void MatMulTransBRowRange(const float* pa, const float* pb, float* po,
-                          int64_t r0, int64_t r1, int64_t k, int64_t n) {
-  for (int64_t i0 = r0; i0 < r1; i0 += kMr) {
-    const int64_t mr = std::min<int64_t>(kMr, r1 - i0);
-    for (int64_t j0 = 0; j0 < n; j0 += kNr) {
-      const int64_t nr = std::min<int64_t>(kNr, n - j0);
-      float acc[kMr * kNr] = {0.0f};
-      if (mr == kMr && nr == kNr) {
-        // Full tile: fixed trip counts, fully unrolled and vectorized.
-        for (int64_t kk = 0; kk < k; ++kk) {
-          const float* bcol = pb + kk;  // element jj of this k-slice: bcol[(j0+jj)*k]
-          for (int ii = 0; ii < kMr; ++ii) {
-            const float av = pa[(i0 + ii) * k + kk];
-            for (int jj = 0; jj < kNr; ++jj) {
-              acc[ii * kNr + jj] += av * bcol[(j0 + jj) * k];
-            }
-          }
-        }
-      } else {
-        // Edge tile (m % kMr, n % kNr remainders).
-        for (int64_t kk = 0; kk < k; ++kk) {
-          const float* bcol = pb + kk;
-          for (int64_t ii = 0; ii < mr; ++ii) {
-            const float av = pa[(i0 + ii) * k + kk];
-            for (int64_t jj = 0; jj < nr; ++jj) {
-              acc[ii * kNr + jj] += av * bcol[(j0 + jj) * k];
-            }
-          }
-        }
-      }
-      for (int64_t ii = 0; ii < mr; ++ii) {
-        float* crow = po + (i0 + ii) * n + j0;
-        for (int64_t jj = 0; jj < nr; ++jj) crow[jj] = acc[ii * kNr + jj];
-      }
-    }
-  }
-}
+}  // namespace
 
-// Shared batched-GEMM driver for MatMulInto / MatMulTransBInto. `bn` and
-// `bk` are B's row count and row length as laid out in memory; `kernel`
-// computes one (m, k) x B problem for a row range of C.
-template <typename Kernel>
-void BatchedMatMul(const Tensor& a, const Tensor& b, Tensor* out, int64_t m,
-                   int64_t k, int64_t n, Kernel kernel) {
-  // The register-blocked kernels need dense row-major operands; strided
-  // views (e.g. TransposeLast2 results) are packed once into pooled scratch
-  // that is released as soon as the product is computed.
-  const Tensor a_dense = a.Contiguous();
-  const Tensor b_dense = b.Contiguous();
+Tensor MatMul(const Tensor& a, const Tensor& b) {
+  TSFM_TRACE_SPAN("tensor.matmul");
+  TSFM_CHECK_GE(a.ndim(), 2);
+  TSFM_CHECK_GE(b.ndim(), 2);
+  const int64_t m = a.dim(-2);
+  const int64_t k = a.dim(-1);
+  const int64_t k2 = b.dim(-2);
+  const int64_t n = b.dim(-1);
+  TSFM_CHECK_EQ(k, k2) << "matmul inner dims " << ShapeToString(a.shape())
+                       << " x " << ShapeToString(b.shape());
 
   Shape a_batch(a.shape().begin(), a.shape().end() - 2);
   Shape b_batch(b.shape().begin(), b.shape().end() - 2);
   const Shape batch = BroadcastShapes(a_batch, b_batch);
   const int64_t nbatch = NumElements(batch);
-
   Shape out_shape = batch;
   out_shape.push_back(m);
   out_shape.push_back(n);
-  TSFM_CHECK(out->shape() == out_shape)
-      << "matmul out " << ShapeToString(out->shape()) << " vs "
-      << ShapeToString(out_shape);
+  Tensor out = Tensor::Empty(out_shape);
+
+  // The register-blocked kernel needs dense row-major operands; strided
+  // views (e.g. TransposeLast2 results) are packed once into pooled scratch
+  // that is released as soon as the product is computed.
+  const Tensor a_dense = a.Contiguous();
+  const Tensor b_dense = b.Contiguous();
 
   OpMetrics& om = Metrics();
   om.matmul_calls->Add(1);
@@ -503,11 +489,10 @@ void BatchedMatMul(const Tensor& a, const Tensor& b, Tensor* out, int64_t m,
   const auto sb = BroadcastStrides(b_batch, batch);
   const auto sbatch = RowMajorStrides(batch);
   const int64_t nd = static_cast<int64_t>(batch.size());
-  const int64_t b_numel = b_dense.dim(-2) * b_dense.dim(-1);
 
   const float* pa0 = a_dense.data();
   const float* pb0 = b_dense.data();
-  float* po0 = out->mutable_data();
+  float* po0 = out.mutable_data();
 
   // One task per (batch, row-block); the grain keeps chunks above ~1 MFLOP
   // so small matmuls stay inline. Tasks write disjoint C row ranges, and the
@@ -533,67 +518,13 @@ void BatchedMatMul(const Tensor& a, const Tensor& b, Tensor* out, int64_t m,
             ib += idx * sb[d];
           }
           const float* pa = pa0 + ia * m * k;
-          const float* pb = pb0 + ib * b_numel;
+          const float* pb = pb0 + ib * k * n;
           float* po = po0 + batch_idx * m * n;
           const int64_t r0 = block * kRowsPerBlock;
           const int64_t r1 = std::min(m, r0 + kRowsPerBlock);
-          kernel(pa, pb, po, r0, r1, k, n);
+          MatMulRowRange(pa, pb, po, r0, r1, k, n);
         }
       });
-}
-
-}  // namespace
-
-void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
-  TSFM_TRACE_SPAN("tensor.matmul");
-  TSFM_CHECK_GE(a.ndim(), 2);
-  TSFM_CHECK_GE(b.ndim(), 2);
-  const int64_t m = a.dim(-2);
-  const int64_t k = a.dim(-1);
-  const int64_t k2 = b.dim(-2);
-  const int64_t n = b.dim(-1);
-  TSFM_CHECK_EQ(k, k2) << "matmul inner dims " << ShapeToString(a.shape())
-                       << " x " << ShapeToString(b.shape());
-  BatchedMatMul(a, b, out, m, k, n, MatMulRowRange);
-}
-
-Tensor MatMul(const Tensor& a, const Tensor& b) {
-  TSFM_CHECK_GE(a.ndim(), 2);
-  TSFM_CHECK_GE(b.ndim(), 2);
-  Shape a_batch(a.shape().begin(), a.shape().end() - 2);
-  Shape b_batch(b.shape().begin(), b.shape().end() - 2);
-  Shape out_shape = BroadcastShapes(a_batch, b_batch);
-  out_shape.push_back(a.dim(-2));
-  out_shape.push_back(b.dim(-1));
-  Tensor out = Tensor::Empty(out_shape);
-  MatMulInto(a, b, &out);
-  return out;
-}
-
-void MatMulTransBInto(const Tensor& a, const Tensor& b, Tensor* out) {
-  TSFM_TRACE_SPAN("tensor.matmul");
-  TSFM_CHECK_GE(a.ndim(), 2);
-  TSFM_CHECK_GE(b.ndim(), 2);
-  const int64_t m = a.dim(-2);
-  const int64_t k = a.dim(-1);
-  const int64_t n = b.dim(-2);
-  const int64_t k2 = b.dim(-1);
-  TSFM_CHECK_EQ(k, k2) << "matmul_transb inner dims "
-                       << ShapeToString(a.shape()) << " x "
-                       << ShapeToString(b.shape()) << "^T";
-  BatchedMatMul(a, b, out, m, k, n, MatMulTransBRowRange);
-}
-
-Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
-  TSFM_CHECK_GE(a.ndim(), 2);
-  TSFM_CHECK_GE(b.ndim(), 2);
-  Shape a_batch(a.shape().begin(), a.shape().end() - 2);
-  Shape b_batch(b.shape().begin(), b.shape().end() - 2);
-  Shape out_shape = BroadcastShapes(a_batch, b_batch);
-  out_shape.push_back(a.dim(-2));
-  out_shape.push_back(b.dim(-2));
-  Tensor out = Tensor::Empty(out_shape);
-  MatMulTransBInto(a, b, &out);
   return out;
 }
 
@@ -632,16 +563,9 @@ Tensor Concat(const std::vector<Tensor>& parts, int64_t axis) {
   Shape out_shape = parts[0].shape();
   out_shape[static_cast<size_t>(axis)] = total;
   Tensor out = Tensor::Empty(out_shape);
-  ConcatInto(parts, axis, &out);
-  return out;
-}
-
-void ConcatInto(const std::vector<Tensor>& parts, int64_t axis, Tensor* out) {
-  TSFM_CHECK(!parts.empty());
-  axis = NormalizeAxis(axis, parts[0].ndim());
   int64_t outer, alen, inner;
-  SplitAroundAxis(out->shape(), axis, &outer, &alen, &inner);
-  float* po = out->mutable_data();
+  SplitAroundAxis(out_shape, axis, &outer, &alen, &inner);
+  float* po = out.mutable_data();
   int64_t offset = 0;
   for (const Tensor& p : parts) {
     const Tensor pd = p.Contiguous();
@@ -654,6 +578,7 @@ void ConcatInto(const std::vector<Tensor>& parts, int64_t axis, Tensor* out) {
     offset += plen;
   }
   TSFM_CHECK_EQ(offset, alen);
+  return out;
 }
 
 Tensor TakeRows(const Tensor& t, const std::vector<int64_t>& rows) {
@@ -715,17 +640,17 @@ float MinAll(const Tensor& t) {
   return *std::min_element(p, p + td.numel());
 }
 
-void SumInto(const Tensor& t, int64_t axis, bool keepdim, Tensor* out) {
+Tensor Sum(const Tensor& t, int64_t axis, bool keepdim) {
   TSFM_TRACE_SPAN("tensor.sum");
   Metrics().reduce_calls->Add(1);
   axis = NormalizeAxis(axis, t.ndim());
+  Tensor out = Tensor::Empty(ReducedShape(t.shape(), axis, keepdim));
   const Tensor td = t.Contiguous();
   int64_t outer, len, inner;
   SplitAroundAxis(td.shape(), axis, &outer, &len, &inner);
-  TSFM_CHECK(out->shape() == ReducedShape(td.shape(), axis, keepdim));
   const float* pi = td.data();
-  float* po = out->mutable_data();
-  std::fill(po, po + out->numel(), 0.0f);
+  float* po = out.mutable_data();
+  std::fill(po, po + out.numel(), 0.0f);
   // Parallel over `outer` only: each output element keeps its serial
   // ascending-l accumulation order, so results are bit-identical to the
   // single-threaded loop.
@@ -744,7 +669,7 @@ void SumInto(const Tensor& t, int64_t axis, bool keepdim, Tensor* out) {
         po[o] = acc;
       }
     });
-    return;
+    return out;
   }
   runtime::ParallelFor(0, outer, grain, [&](int64_t lo, int64_t hi) {
     for (int64_t o = lo; o < hi; ++o) {
@@ -755,12 +680,6 @@ void SumInto(const Tensor& t, int64_t axis, bool keepdim, Tensor* out) {
       }
     }
   });
-}
-
-Tensor Sum(const Tensor& t, int64_t axis, bool keepdim) {
-  Tensor out = Tensor::Empty(
-      ReducedShape(t.shape(), NormalizeAxis(axis, t.ndim()), keepdim));
-  SumInto(t, axis, keepdim, &out);
   return out;
 }
 
@@ -818,15 +737,15 @@ std::vector<int64_t> ArgMaxLast(const Tensor& t) {
   return out;
 }
 
-void SoftmaxInto(const Tensor& t, Tensor* out) {
+Tensor Softmax(const Tensor& t) {
   TSFM_TRACE_SPAN("tensor.softmax");
   TSFM_CHECK_GE(t.ndim(), 1);
+  Tensor out = Tensor::Empty(t.shape());
   const Tensor td = t.Contiguous();
   const int64_t len = td.dim(-1);
   const int64_t outer = td.numel() / len;
-  TSFM_CHECK(out->shape() == td.shape());
   const float* pi = td.data();
-  float* po = out->mutable_data();
+  float* po = out.mutable_data();
   const int64_t grain =
       std::max<int64_t>(1, kElementwiseGrain / std::max<int64_t>(1, len));
   // Row choice is mode-global, never per-row: every row of a tensor (and of
@@ -843,11 +762,6 @@ void SoftmaxInto(const Tensor& t, Tensor* out) {
       }
     }
   });
-}
-
-Tensor Softmax(const Tensor& t) {
-  Tensor out = Tensor::Empty(t.shape());
-  SoftmaxInto(t, &out);
   return out;
 }
 

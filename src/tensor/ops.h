@@ -60,12 +60,6 @@ Tensor Pow(const Tensor& t, float p);
 /// dimensions are broadcast. (..., m, k) x (..., k, n) -> (..., m, n).
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
-/// a x b^T without materializing the transpose: (..., m, k) x (..., n, k) ->
-/// (..., m, n). Bit-identical to MatMul(a, TransposeLast2(b)) — every output
-/// element accumulates its k products in the same ascending order — which is
-/// what lets the graph fold pass substitute it for a transpose+matmul pair.
-Tensor MatMulTransB(const Tensor& a, const Tensor& b);
-
 /// Swaps the last two dimensions. Zero-copy: returns a strided view that
 /// aliases the input's storage.
 Tensor TransposeLast2(const Tensor& t);
@@ -111,20 +105,6 @@ std::vector<int64_t> ArgMaxLast(const Tensor& t);
 Tensor Softmax(const Tensor& t);
 /// Log-softmax over the last axis.
 Tensor LogSoftmax(const Tensor& t);
-
-// ---------------------------------------------------------------------------
-// Destination-passing variants, used by the graph interpreter (src/graph/) to
-// write results into memory-planner slots instead of fresh pool buffers.
-// `out` must be contiguous with the exact output shape; contents are
-// overwritten. Each is bit-identical to its allocating counterpart (same
-// kernel, same accumulation order).
-// ---------------------------------------------------------------------------
-
-void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out);
-void MatMulTransBInto(const Tensor& a, const Tensor& b, Tensor* out);
-void SumInto(const Tensor& t, int64_t axis, bool keepdim, Tensor* out);
-void SoftmaxInto(const Tensor& t, Tensor* out);
-void ConcatInto(const std::vector<Tensor>& parts, int64_t axis, Tensor* out);
 
 /// Frobenius / L2 norm of all elements.
 float Norm(const Tensor& t);

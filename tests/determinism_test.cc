@@ -17,6 +17,8 @@
 #include "autograd/ops.h"
 #include "common/rng.h"
 #include "core/pca_adapter.h"
+#include "models/moment.h"
+#include "models/vit.h"
 #include "nn/layers.h"
 #include "runtime/thread_pool.h"
 #include "simd/dispatch.h"
@@ -98,6 +100,24 @@ TEST_F(DeterminismTest, PcaFitAndTransform) {
     return out.value();
   };
   ExpectBitIdentical(fit_transform, "PCA fit+transform");
+}
+
+// The whole no-grad eval forward of both bench-scale encoders: patch embed,
+// attention (batched matmul, softmax), layer norm, GELU MLP and the two
+// mean-pools must compose into a thread-count-independent result.
+TEST_F(DeterminismTest, EncoderForward) {
+  Rng rng(13);
+  models::MomentModel moment(models::MomentSmallConfig(), &rng);
+  models::VitModel vit(models::VitSmallConfig(), &rng);
+  Tensor x = Tensor::RandN({4, 64, 8}, &rng);
+  const nn::ForwardContext eval{/*training=*/false, /*rng=*/nullptr};
+  ag::NoGradGuard guard;
+  ExpectBitIdentical(
+      [&] { return moment.EncodeChannels(ag::Constant(x), eval).value(); },
+      "MOMENT encoder forward");
+  ExpectBitIdentical(
+      [&] { return vit.EncodeChannels(ag::Constant(x), eval).value(); },
+      "ViT encoder forward");
 }
 
 // Regression test for the removed `a == 0` skip in MatMul's inner loop:

@@ -109,7 +109,7 @@ TEST(RunReport, WriteRunReportAllocatesFreshFiles) {
   ASSERT_TRUE(is.good());
   std::stringstream buf;
   buf << is.rdbuf();
-  EXPECT_NE(buf.str().find("\"schema_version\":1"), std::string::npos);
+  EXPECT_NE(buf.str().find("\"schema_version\":2"), std::string::npos);
   std::remove(first->c_str());
   std::remove(second->c_str());
 }

@@ -1,8 +1,8 @@
 // InferenceSession thread-safety: many threads hammering one immutable
 // fitted session must each see predictions bit-identical to the serial
 // reference. Built with -DTSFM_SANITIZE=thread in CI, this is the TSan
-// witness for the serving path (encoder forward, graph executor, buffer
-// pool, adapter transform, head forward).
+// witness for the serving path (encoder forward, buffer pool, adapter
+// transform, head forward).
 
 #include <cstring>
 #include <filesystem>
@@ -13,7 +13,6 @@
 
 #include "data/uea_like.h"
 #include "finetune/classifier.h"
-#include "graph/executor.h"
 #include "pipeline/registry.h"
 #include "pipeline/session.h"
 #include "tensor/ops.h"
@@ -149,39 +148,6 @@ TEST(SessionTest, ConcurrentPredictIsBitIdenticalToSerial) {
   for (auto& th : threads) th.join();
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(failures[t], 0) << "thread " << t;
-    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
-  }
-}
-
-// Same hammer with the graph executor engaged: the compiled-graph cache is
-// shared mutable state inside the (const) model, so this is the interesting
-// TSan surface.
-TEST(SessionTest, ConcurrentPredictUnderGraphModeIsBitIdentical) {
-  auto pair = Problem(24);
-  auto clf = FittedClassifier(pair);
-  ASSERT_TRUE(clf.ok()) << clf.status().ToString();
-  auto session = clf->session();
-
-  const bool saved_mode = graph::GraphModeEnabled();
-  graph::SetGraphMode(false);
-  const auto eager_reference = session->PredictBatch(pair.test.x);
-  ASSERT_TRUE(eager_reference.ok());
-
-  graph::SetGraphMode(true);
-  std::vector<int> mismatches(kThreads, 0);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < kRoundsPerThread; ++round) {
-        auto preds = session->PredictBatch(pair.test.x);
-        if (!preds.ok() || *preds != *eager_reference) ++mismatches[t];
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  graph::SetGraphMode(saved_mode);
-  for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(mismatches[t], 0) << "thread " << t;
   }
 }

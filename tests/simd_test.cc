@@ -22,7 +22,6 @@
 
 #include "autograd/ops.h"
 #include "common/rng.h"
-#include "graph/executor.h"
 #include "models/foundation_model.h"
 #include "models/moment.h"
 #include "nn/layers.h"
@@ -120,11 +119,11 @@ TEST(SimdMathTest, ScalarReferenceSpecialValues) {
 }
 
 TEST(SimdMathTest, GeluEdgeAgreementAcrossImplementations) {
-  // The graph executor's fused eltwise loop calls ops::detail::GeluScalar in
-  // scalar mode and simd::GeluS in SIMD mode. The two use different tanh
-  // approximations, so mid-range values differ by ulps — but every
-  // edge/saturation result must agree EXACTLY, because both fire their
-  // guards before any polynomial runs.
+  // The Gelu kernel calls ops::detail::GeluScalar in scalar mode and
+  // simd::GeluS in SIMD mode. The two use different tanh approximations, so
+  // mid-range values differ by ulps — but every edge/saturation result must
+  // agree EXACTLY, because both fire their guards before any polynomial
+  // runs.
   for (float x : EdgeInputs()) {
     const float a = ops::detail::GeluScalar(x);
     const float b = simd::GeluS(x);
@@ -420,8 +419,8 @@ TEST(QuantCheckpointTest, SaveLoadPredictBitIdentical) {
   ag::NoGradGuard guard;
 
   // Two independent loads into fresh models serve identical bits, at any
-  // thread count and regardless of graph mode: the stored int8 images are
-  // adopted verbatim and the arithmetic is exact.
+  // thread count: the stored int8 images are adopted verbatim and the
+  // arithmetic is exact.
   Rng ra(1), rb(2);
   models::MomentModel ma(models::MomentTestConfig(), &ra);
   models::MomentModel mb(models::MomentTestConfig(), &rb);
@@ -440,14 +439,6 @@ TEST(QuantCheckpointTest, SaveLoadPredictBitIdentical) {
         << threads << " threads (model a)";
     EXPECT_EQ(std::memcmp(got_b.data(), ref.data(), bytes), 0)
         << threads << " threads (model b)";
-  }
-  // Graph mode must not change quant-mode bits (the executor is bypassed).
-  {
-    graph::ScopedGraphMode graph_on(true);
-    Tensor got = ma.EncodeChannels(ag::Constant(x), EvalCtx()).value();
-    EXPECT_EQ(std::memcmp(got.data(), ref.data(),
-                          sizeof(float) * static_cast<size_t>(ref.numel())),
-              0);
   }
   runtime::SetNumThreads(saved);
   std::remove(path.c_str());

@@ -415,9 +415,8 @@ TEST(UnaryTest, GeluGuardIsContinuousAtSaturation) {
 }
 
 TEST(UnaryTest, GeluEdgeMatrixAgreesAcrossEagerAndSimd) {
-  // The eager kernel (GeluScalar), the graph executor's fused stage (same
-  // scalar function), and the SIMD kernels must agree exactly on every
-  // edge input: all guards fire before any polynomial can differ.
+  // The scalar kernel (GeluScalar) and the SIMD kernels must agree exactly
+  // on every edge input: all guards fire before any polynomial can differ.
   const float mx = std::numeric_limits<float>::max();
   Tensor t(Shape{10}, {kInfF, -kInfF, kNanF, mx, -mx, 8.0f, -8.0f, 20.0f,
                        -20.0f, -1e30f});

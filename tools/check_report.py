@@ -3,7 +3,7 @@
 
 Used by the CI `bench-regression` job after its `tsfm classify --report`
 smoke run, and handy locally after any run with TSFM_RUN_REPORT set. The
-report is hand-rendered JSON (schema_version 1, see src/obs/run_report.cc),
+report is hand-rendered JSON (schema_version 2, see src/obs/run_report.cc),
 so this script is the contract test: every section present, every field of
 the right type, and the cross-field invariants that make a report usable
 (headroom consistent with the verdict, epoch indices contiguous per phase).
@@ -57,16 +57,10 @@ MEMORY_FIELDS = {
 }
 
 EXECUTION_FIELDS = {
-    "graph_enabled": bool,
     "embed_mode": str,
-    "graph_captures": NUMBER,
-    "graph_executions": NUMBER,
-    "graph_eager_fallbacks": NUMBER,
-    "graph_fused_ops": NUMBER,
-    "graph_peak_bytes": NUMBER,
 }
 
-EMBED_MODES = {"graph", "eager", "cache", "int8"}
+EMBED_MODES = {"eager", "int8", "cache"}
 
 RESULT_FIELDS = {
     "train_accuracy": NUMBER,
@@ -112,9 +106,9 @@ def check_fields(obj, fields, where, errors):
 
 
 def validate(report, errors):
-    if report.get("schema_version") != 1:
+    if report.get("schema_version") != 2:
         errors.append(
-            f"schema_version: expected 1, got {report.get('schema_version')!r}"
+            f"schema_version: expected 2, got {report.get('schema_version')!r}"
         )
     for section in (
         "run",
@@ -196,14 +190,6 @@ def validate(report, errors):
         mode = execution.get("embed_mode")
         if mode not in EMBED_MODES:
             errors.append(f"execution.embed_mode: unknown mode {mode!r}")
-        # Eager runs record no graph activity; graph runs that embedded
-        # anything must have captured or replayed at least one plan.
-        if execution.get("graph_enabled") is False:
-            for key in ("graph_captures", "graph_executions"):
-                if execution.get(key):
-                    errors.append(
-                        f"execution.{key}: nonzero with graph_enabled false"
-                    )
 
     check_fields(report["result"], RESULT_FIELDS, "result", errors)
     result = report["result"]
@@ -263,7 +249,7 @@ def expand(paths):
 
 def main():
     parser = argparse.ArgumentParser(
-        description="Validate run-report JSON manifests (schema_version 1)."
+        description="Validate run-report JSON manifests (schema_version 2)."
     )
     parser.add_argument("paths", nargs="+",
                         help="report files or directories of them")

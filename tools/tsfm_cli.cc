@@ -72,16 +72,12 @@
 //                        frozen-encoder embed passes are served from disk
 //                        (same as TSFM_CACHE_DIR; watch cache.hit/cache.miss
 //                        in --metrics output)
-//   --graph              run no-grad encoder forwards through the captured
-//                        graph IR (fused kernels + planned activation
-//                        memory); bit-identical to eager, usually faster
-//                        (same as TSFM_GRAPH=1; watch graph.* in --metrics)
 //   --simd               dispatch exp/tanh/erf/gelu/softmax through the
 //                        vectorized kernels in src/simd/ (AVX2/NEON with a
 //                        lane-exact scalar fallback); results stay
-//                        bit-identical across thread counts and graph/eager,
-//                        and differ from scalar fp32 only within the CI
-//                        accuracy epsilon (same as TSFM_SIMD=1)
+//                        bit-identical across thread counts, and differ
+//                        from scalar fp32 only within the CI accuracy
+//                        epsilon (same as TSFM_SIMD=1)
 //   --quantize int8      run frozen-encoder (no-grad) Linear layers through
 //                        the dynamically quantized int8 path: per-channel
 //                        weight scales computed once at load, int32
@@ -109,7 +105,6 @@
 #include "io/embed_cache.h"
 #include "data/uea_like.h"
 #include "finetune/classifier.h"
-#include "graph/executor.h"
 #include "nn/serialize.h"
 #include "obs/budget.h"
 #include "obs/metrics.h"
@@ -141,8 +136,6 @@ ArgMap ParseArgs(int argc, char** argv, int start) {
     // --metrics and --report take an optional value.
     if (std::strcmp(argv[i], "--full") == 0) {
       args["full"] = "1";
-    } else if (std::strcmp(argv[i], "--graph") == 0) {
-      args["graph"] = "1";
     } else if (std::strcmp(argv[i], "--simd") == 0) {
       args["simd"] = "1";
     } else if (std::strcmp(argv[i], "--check-fitted") == 0) {
@@ -824,8 +817,7 @@ int Usage() {
                "       [--trace out.json] [--profile out.txt|.json|.folded]\n"
                "       [--metrics [dest]] [--report [dir]] [--threads N]\n"
                "       [--mem-budget BYTES[K|M|G]] [--time-budget SECONDS]\n"
-               "       [--cache-dir DIR] [--graph] [--simd] "
-               "[--quantize int8]\n"
+               "       [--cache-dir DIR] [--simd] [--quantize int8]\n"
                "see the header of tools/tsfm_cli.cc for details\n");
   return 1;
 }
@@ -865,7 +857,6 @@ int Main(int argc, char** argv) {
     io::SetEmbedCacheDir(cache_dir);
   }
 
-  if (GetOr(args, "graph", "") == "1") graph::SetGraphMode(true);
   if (GetOr(args, "simd", "") == "1") simd::SetSimdMode(true);
   if (const std::string q = GetOr(args, "quantize", ""); !q.empty()) {
     if (q != "int8") {
