@@ -20,8 +20,6 @@
 #include "optim/optim.h"
 #include "pipeline/session.h"
 #include "runtime/thread_pool.h"
-#include "simd/dispatch.h"
-#include "simd/quant.h"
 #include "tensor/ops.h"
 
 namespace tsfm {
@@ -60,11 +58,9 @@ void BM_Softmax(benchmark::State& state) {
 }
 BENCHMARK(BM_Softmax)->Arg(64)->Arg(1024);
 
-// SIMD-mode row kernels against the scalar fp32 kernels they replace:
-// Arg(0) = scalar mode, Arg(1) = SIMD mode. Both are watched by
-// bench_compare.py, so a regression in either dispatch path trips CI.
+// The vectorized softmax and GELU row kernels over a 256x256 tensor. Both
+// are watched by bench_compare.py.
 void BM_SoftmaxRow(benchmark::State& state) {
-  simd::ScopedSimdMode mode(state.range(0) != 0);
   Rng rng(31);
   Tensor t = Tensor::RandN({256, 256}, &rng);
   for (auto _ : state) {
@@ -72,10 +68,9 @@ void BM_SoftmaxRow(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * t.numel());
 }
-BENCHMARK(BM_SoftmaxRow)->Arg(0)->Arg(1);
+BENCHMARK(BM_SoftmaxRow);
 
 void BM_GeluRow(benchmark::State& state) {
-  simd::ScopedSimdMode mode(state.range(0) != 0);
   Rng rng(32);
   Tensor t = Tensor::RandN({256, 256}, &rng);
   for (auto _ : state) {
@@ -83,42 +78,18 @@ void BM_GeluRow(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * t.numel());
 }
-BENCHMARK(BM_GeluRow)->Arg(0)->Arg(1);
+BENCHMARK(BM_GeluRow);
 
-// Int8 dynamically-quantized matmul (quantize activations per row, int32
-// accumulate, dequantize) against nothing but itself over sizes — the
-// fp32-vs-int8 end-to-end comparison is the encoder-forward pair below.
-void BM_QuantMatMul(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  Rng rng(33);
-  Tensor a = Tensor::RandN({n, n}, &rng);
-  Tensor w = Tensor::RandN({n, n}, &rng);
-  const simd::QuantizedMatrix q = simd::QuantizeWeight(w.data(), n, n);
-  Tensor c = Tensor::Empty({n, n});
-  for (auto _ : state) {
-    simd::QuantMatMul(a.data(), n, q, c.mutable_data());
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-}
-BENCHMARK(BM_QuantMatMul)->Arg(64)->Arg(256);
-
-// Quantized-inference pair: the same frozen encoder forward at bench scale
-// (MomentSmallConfig, d_model 64 / d_hidden 128 — the test config's d=16
-// matmuls are too small for quantization to pay for its per-row activation
-// pass) in fp32 against int8+SIMD. The paired CI gate requires
-// BM_EncoderForwardInt8 <= 0.67x BM_EncoderForwardFp32 (>= 1.5x speedup).
-// Each reports a `peak_bytes` counter: the BufferPool high-water delta of one
-// forward, measured after a warm-up forward and outside the timed loop.
-void RunEncoderForward(benchmark::State& state, bool int8) {
+// The frozen encoder forward at bench scale (MomentSmallConfig, d_model 64 /
+// d_hidden 128). Reports a `peak_bytes` counter: the BufferPool high-water
+// delta of one forward, measured after a warm-up forward and outside the
+// timed loop.
+void BM_EncoderForwardFp32(benchmark::State& state) {
   Rng rng(3);
   models::MomentModel model(models::MomentSmallConfig(), &rng);
   Tensor x = Tensor::RandN({4, 64, 8}, &rng);
   const nn::ForwardContext ctx{false, nullptr};
-  simd::ScopedQuantMode quant(int8);
-  simd::ScopedSimdMode simd_on(int8);
   ag::NoGradGuard guard;
-  if (int8) model.PrepareQuantized();  // scales computed once, as at load
   const auto fwd = [&] {
     ag::Var emb = model.EncodeChannels(ag::Constant(x), ctx);
     benchmark::DoNotOptimize(emb.value().data());
@@ -132,16 +103,7 @@ void RunEncoderForward(benchmark::State& state, bool int8) {
       static_cast<double>(pool.Snapshot().peak_live_bytes - before);
   for (auto _ : state) fwd();
 }
-
-void BM_EncoderForwardFp32(benchmark::State& state) {
-  RunEncoderForward(state, /*int8=*/false);
-}
 BENCHMARK(BM_EncoderForwardFp32);
-
-void BM_EncoderForwardInt8(benchmark::State& state) {
-  RunEncoderForward(state, /*int8=*/true);
-}
-BENCHMARK(BM_EncoderForwardInt8);
 
 void BM_BroadcastAdd(benchmark::State& state) {
   Rng rng(4);

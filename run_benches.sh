@@ -34,7 +34,7 @@ if [ "${TSFM_BENCH_BASELINE:-0}" = "1" ]; then
   # TSFM_NUM_THREADS is pinned to match the CI bench-regression job so the
   # baseline and the gated candidate run measure the same configuration.
   TSFM_NUM_THREADS=2 ./build/bench/bench_micro_kernels \
-    --benchmark_filter='BM_MatMulSquare|BM_FineTuneInnerLoopAlloc|BM_Predict|BM_SoftmaxRow|BM_GeluRow|BM_QuantMatMul|BM_EncoderForward' \
+    --benchmark_filter='BM_MatMulSquare|BM_FineTuneInnerLoopAlloc|BM_Predict|BM_SoftmaxRow|BM_GeluRow|BM_EncoderForward' \
     --benchmark_min_time=0.1 \
     --benchmark_out="$TSFM_BENCH_OUT/BENCH_baseline.json" \
     --benchmark_out_format=json 2>/dev/null

@@ -241,6 +241,10 @@ Var Gelu(const Var& a) {
       [](Node* n) {
         constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
         constexpr float kA = 0.044715f;
+        // The forward saturates at |x| >= 8 (simd::GeluS); its derivative
+        // there is exactly 1 or 0. Unguarded, x^3 overflows and
+        // 0.5 * x * (1 - t^2) becomes inf * 0 = NaN.
+        constexpr float kSat = 8.0f;
         const Tensor x = n->inputs[0]->value.Contiguous();
         Tensor g = Tensor::Empty(x.shape());
         const float* px = x.data();
@@ -250,11 +254,17 @@ Var Gelu(const Var& a) {
             0, x.numel(), int64_t{1} << 14, [&](int64_t lo, int64_t hi) {
               for (int64_t i = lo; i < hi; ++i) {
                 const float xi = px[i];
-                const float u = kC * (xi + kA * xi * xi * xi);
-                const float t = std::tanh(u);
-                const float du = kC * (1.0f + 3.0f * kA * xi * xi);
-                const float d =
-                    0.5f * (1.0f + t) + 0.5f * xi * (1.0f - t * t) * du;
+                float d;
+                if (xi >= kSat) {
+                  d = 1.0f;
+                } else if (xi <= -kSat) {
+                  d = 0.0f;
+                } else {
+                  const float u = kC * (xi + kA * xi * xi * xi);
+                  const float t = std::tanh(u);
+                  const float du = kC * (1.0f + 3.0f * kA * xi * xi);
+                  d = 0.5f * (1.0f + t) + 0.5f * xi * (1.0f - t * t) * du;
+                }
                 po[i] = pg[i] * d;
               }
             });

@@ -10,7 +10,6 @@
 #include "optim/optim.h"
 #include "pipeline/pipeline.h"
 #include "runtime/thread_pool.h"
-#include "simd/dispatch.h"
 #include "tensor/ops.h"
 
 namespace tsfm::finetune {
@@ -103,7 +102,6 @@ Result<FineTuneResult> FineTuneWithHead(models::FoundationModel* model,
   obs::BeginBudgetRun();
   const auto t_start = Clock::now();
   FineTuneResult result;
-  result.embed_mode = simd::QuantModeEnabled() ? "int8" : "eager";
 
   auto norm = options.normalize ? std::make_shared<pipeline::NormalizeStage>()
                                 : nullptr;
@@ -256,12 +254,6 @@ Result<FineTuneResult> FineTuneWithHead(models::FoundationModel* model,
   }
   result.final_loss = last;
   result.train_seconds = SecondsSince(t_train);
-
-  // Joint training mutates encoder weights in place; the int8 caches are
-  // keyed by weight-data pointer, and a pool could hand a rebuilt tensor the
-  // same address, so in quant mode refresh the caches explicitly before the
-  // frozen-weight evaluation below.
-  if (encoder_in_loop && simd::QuantModeEnabled()) model->PrepareQuantized();
 
   // Evaluate end-to-end. Batches are independent under NoGrad, so they
   // run in parallel; per-batch predictions are stitched together in batch

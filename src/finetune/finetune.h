@@ -65,9 +65,9 @@ struct FineTuneResult {
   double adapter_fit_seconds = 0.0;
   double train_seconds = 0.0;
   double total_seconds = 0.0;
-  /// How the no-grad encoder forwards actually ran: "eager", "int8", or
-  /// "cache" when every dataset embedding came from the embedding cache and
-  /// the encoder never executed. Surfaces in the run report's "execution"
+  /// How the no-grad encoder forwards actually ran: "eager", or "cache"
+  /// when every dataset embedding came from the embedding cache and the
+  /// encoder never executed. Surfaces in the run report's "execution"
   /// section.
   std::string embed_mode = "eager";
   /// Wall-clock per pipeline stage (normalize/adapt/embed/head), aggregated
@@ -119,8 +119,8 @@ Tensor EmbedDataset(const models::FoundationModel& model, const Tensor& x,
 /// encoder entirely and is bit-identical to the miss path. With the cache
 /// disabled this is exactly `EmbedDataset`. Results of budget-aborted embed
 /// passes are never stored. When `mode` is non-null it receives how the
-/// embedding was produced: "cache" on a hit, otherwise "int8"/"eager" per
-/// the current quant mode. Thin forwarder to pipeline::EmbedDatasetCached.
+/// embedding was produced: "cache" on a hit, otherwise "eager". Thin
+/// forwarder to pipeline::EmbedDatasetCached.
 Tensor EmbedDatasetCached(const models::FoundationModel& model,
                           const Tensor& x, int64_t batch_size, uint64_t seed,
                           const std::string& salt, std::string* mode = nullptr,

@@ -177,18 +177,4 @@ Result<std::string> ReadArtifactPayload(const std::string& path,
   return payload;
 }
 
-Result<uint64_t> ReadArtifactMagic(const std::string& path) {
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec) || ec) {
-    return Status::NotFound("no such artifact: " + path);
-  }
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Status::IoError("cannot open for reading: " + path);
-  char buf[sizeof(uint64_t)];
-  if (!is.read(buf, sizeof(buf))) {
-    return Status::IoError("truncated artifact (no magic): " + path);
-  }
-  return ReadRaw<uint64_t>(buf);
-}
-
 }  // namespace tsfm::io

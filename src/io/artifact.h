@@ -55,12 +55,6 @@ Result<std::string> ReadArtifactPayload(const std::string& path,
                                         uint64_t magic,
                                         uint32_t expected_version);
 
-/// Reads just the magic field (format sniffing for multi-format loaders,
-/// e.g. fp32 vs quantized checkpoints). NotFound when the file does not
-/// exist; IoError when it is too short to hold a header. No payload
-/// validation — follow up with ReadArtifactPayload for that.
-Result<uint64_t> ReadArtifactMagic(const std::string& path);
-
 }  // namespace tsfm::io
 
 #endif  // TSFM_IO_ARTIFACT_H_

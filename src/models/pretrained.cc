@@ -4,7 +4,6 @@
 #include <fstream>
 
 #include "nn/serialize.h"
-#include "simd/dispatch.h"
 
 namespace tsfm::models {
 
@@ -50,10 +49,6 @@ Result<std::shared_ptr<FoundationModel>> LoadOrPretrain(
     }
     TSFM_RETURN_IF_ERROR(nn::SaveCheckpoint(*model, cache_path));
   }
-  // The checkpoint-load path prepares the int8 caches inside LoadCheckpoint;
-  // the fresh-pretrain path does it here, so either way a quant-mode caller
-  // gets per-channel scales computed once, up front.
-  if (simd::QuantModeEnabled()) model->PrepareQuantized();
   return model;
 }
 

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "simd/dispatch.h"
 #include "tensor/ops.h"
 
 namespace tsfm::nn {
@@ -22,9 +21,6 @@ Linear::Linear(int64_t in_features, int64_t out_features, Rng* rng,
 
 ag::Var Linear::Forward(const ag::Var& x) const {
   TSFM_CHECK_EQ(x.dim(-1), in_features_);
-  if (simd::QuantModeEnabled() && !ag::GradEnabled()) {
-    return ag::Constant(QuantForward(x.value()));
-  }
   ag::Var y;
   if (x.ndim() == 1) {
     ag::Var x2 = ag::Reshape(x, Shape{1, in_features_});
@@ -34,50 +30,6 @@ ag::Var Linear::Forward(const ag::Var& x) const {
   }
   if (bias_.defined()) y = ag::Add(y, bias_);
   return y;
-}
-
-Tensor Linear::QuantForward(const Tensor& x) const {
-  const Tensor xc = x.Contiguous();
-  const int64_t m = xc.numel() / in_features_;
-  Shape out_shape = xc.shape();
-  out_shape.back() = out_features_;
-  Tensor y = Tensor::Empty(out_shape);
-  const auto q = QuantWeight();
-  simd::QuantMatMul(xc.data(), m, *q, y.mutable_data());
-  if (bias_.defined()) y = tsfm::Add(y, bias_.value());
-  return y;
-}
-
-std::shared_ptr<const simd::QuantizedMatrix> Linear::QuantWeight() const {
-  std::lock_guard<std::mutex> lock(quant_mu_);
-  const Tensor& w = weight_.value();
-  if (qweight_ == nullptr || qweight_src_ != w.data()) {
-    qweight_ = std::make_shared<const simd::QuantizedMatrix>(
-        simd::QuantizeWeight(w.data(), in_features_, out_features_));
-    qweight_src_ = w.data();
-  }
-  return qweight_;
-}
-
-void Linear::PrepareQuantizedSelf() {
-  {
-    std::lock_guard<std::mutex> lock(quant_mu_);
-    qweight_.reset();
-    qweight_src_ = nullptr;
-  }
-  (void)QuantWeight();
-}
-
-bool Linear::AdoptQuantizedParam(
-    const std::string& local_name,
-    std::shared_ptr<const simd::QuantizedMatrix> q) {
-  if (local_name != "weight" || q == nullptr) return false;
-  if (q->rows != in_features_ || q->cols != out_features_) return false;
-  TSFM_CHECK(!q->packed.empty()) << "AdoptQuantizedParam: matrix not packed";
-  std::lock_guard<std::mutex> lock(quant_mu_);
-  qweight_ = std::move(q);
-  qweight_src_ = weight_.value().data();
-  return true;
 }
 
 LayerNorm::LayerNorm(int64_t dim, float epsilon) : epsilon_(epsilon) {

@@ -3,23 +3,14 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 
 #include "autograd/ops.h"
 #include "nn/module.h"
-#include "simd/quant.h"
 
 namespace tsfm::nn {
 
 /// Fully connected layer: y = x W + b, applied over the last axis.
 /// Input (..., in_features) -> output (..., out_features).
-///
-/// When quant mode is on (simd::QuantModeEnabled()) and gradients are
-/// disabled, Forward takes the int8 dynamic-quantization path: the weight's
-/// per-column int8 image is cached on first use (or installed eagerly via
-/// Module::PrepareQuantized / AdoptQuantized), activations are quantized
-/// per row on the fly, and the matmul accumulates in exact int32
-/// (simd/quant.h), so outputs are bit-identical across thread counts.
 class Linear : public Module {
  public:
   Linear(int64_t in_features, int64_t out_features, Rng* rng,
@@ -31,27 +22,11 @@ class Linear : public Module {
   int64_t out_features() const { return out_features_; }
   const ag::Var& weight() const { return weight_; }
 
- protected:
-  void PrepareQuantizedSelf() override;
-  bool AdoptQuantizedParam(
-      const std::string& local_name,
-      std::shared_ptr<const simd::QuantizedMatrix> q) override;
-
  private:
-  Tensor QuantForward(const Tensor& x) const;
-  /// Lazily (re)built int8 cache; invalidated when the weight's storage
-  /// address changes (SetValue allocates a fresh buffer). Full fine-tune
-  /// additionally triggers an explicit PrepareQuantized refresh, since a
-  /// pooled buffer address can recur.
-  std::shared_ptr<const simd::QuantizedMatrix> QuantWeight() const;
-
   int64_t in_features_;
   int64_t out_features_;
   ag::Var weight_;  // (in, out)
   ag::Var bias_;    // (out) or undefined
-  mutable std::mutex quant_mu_;
-  mutable std::shared_ptr<const simd::QuantizedMatrix> qweight_;
-  mutable const float* qweight_src_ = nullptr;
 };
 
 /// Layer normalization over the last axis with learned affine transform.

@@ -32,34 +32,6 @@ void Module::ZeroGrad() {
   for (auto& p : Parameters()) p.ZeroGrad();
 }
 
-void Module::PrepareQuantized() {
-  PrepareQuantizedSelf();
-  for (auto& [name, child] : children_) child->PrepareQuantized();
-}
-
-int64_t Module::AdoptQuantized(
-    const std::map<std::string,
-                   std::shared_ptr<const simd::QuantizedMatrix>>& by_path) {
-  return AdoptQuantizedImpl("", by_path);
-}
-
-int64_t Module::AdoptQuantizedImpl(
-    const std::string& prefix,
-    const std::map<std::string,
-                   std::shared_ptr<const simd::QuantizedMatrix>>& by_path) {
-  int64_t adopted = 0;
-  for (auto& [pname, p] : params_) {
-    const auto it = by_path.find(prefix + pname);
-    if (it != by_path.end() && AdoptQuantizedParam(pname, it->second)) {
-      ++adopted;
-    }
-  }
-  for (auto& [cname, child] : children_) {
-    adopted += child->AdoptQuantizedImpl(prefix + cname + "/", by_path);
-  }
-  return adopted;
-}
-
 ag::Var Module::RegisterParameter(const std::string& name, Tensor value) {
   ag::Var v(std::move(value), /*requires_grad=*/true);
   params_.emplace_back(name, v);

@@ -1,7 +1,6 @@
 #ifndef TSFM_NN_MODULE_H_
 #define TSFM_NN_MODULE_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -9,7 +8,6 @@
 
 #include "autograd/variable.h"
 #include "common/rng.h"
-#include "simd/quant.h"
 
 namespace tsfm::nn {
 
@@ -46,24 +44,6 @@ class Module {
   /// Zeroes the gradient accumulator on every parameter.
   void ZeroGrad();
 
-  /// Builds (or rebuilds) the int8 weight caches of every
-  /// quantization-capable descendant (Linear layers) from the current fp32
-  /// parameter values. Call after loading a checkpoint or after mutating
-  /// encoder weights (full fine-tune) while quant mode is on; lazy builds
-  /// would also happen on first frozen forward, but an explicit refresh
-  /// avoids serving a stale cache when a pooled buffer address is reused.
-  void PrepareQuantized();
-
-  /// Installs pre-built quantized weights keyed by parameter path (the
-  /// NamedParameters naming, e.g. "encoder/layer0/attn/wq/weight"). Used by
-  /// the quantized-checkpoint loader so the exact stored int8 values are
-  /// served, rather than a re-quantization of the dequantized fp32 weights
-  /// (whose scales are not bit-stable through the fp32 round trip). Returns
-  /// the number of entries adopted.
-  int64_t AdoptQuantized(
-      const std::map<std::string,
-                     std::shared_ptr<const simd::QuantizedMatrix>>& by_path);
-
  protected:
   /// Registers a trainable parameter. Returns the stored Var (aliasing).
   ag::Var RegisterParameter(const std::string& name, Tensor value);
@@ -71,23 +51,7 @@ class Module {
   /// Registers a child module (kept alive by shared ownership).
   void RegisterModule(const std::string& name, std::shared_ptr<Module> child);
 
-  /// Module-local quantization hooks, overridden by layers that own a
-  /// quantizable weight (Linear). Defaults do nothing.
-  virtual void PrepareQuantizedSelf() {}
-  virtual bool AdoptQuantizedParam(
-      const std::string& local_name,
-      std::shared_ptr<const simd::QuantizedMatrix> q) {
-    (void)local_name;
-    (void)q;
-    return false;
-  }
-
  private:
-  int64_t AdoptQuantizedImpl(
-      const std::string& prefix,
-      const std::map<std::string,
-                     std::shared_ptr<const simd::QuantizedMatrix>>& by_path);
-
   std::vector<std::pair<std::string, ag::Var>> params_;
   std::vector<std::pair<std::string, std::shared_ptr<Module>>> children_;
 };

@@ -1,16 +1,11 @@
 #include "nn/serialize.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
 #include <sstream>
-#include <utility>
-#include <vector>
 
 #include "io/artifact.h"
-#include "simd/dispatch.h"
-#include "simd/quant.h"
 
 namespace tsfm::nn {
 
@@ -22,20 +17,6 @@ namespace {
 // rejected by the container's magic check and re-pretrained by callers.
 constexpr uint64_t kMagic = 0x32504B434D465354ULL;  // "TSFMCKP2"
 constexpr uint32_t kVersion = 2;
-
-// Quantized checkpoint: same container, own magic. Records are ordered
-// lexicographically by parameter path (unlike the fp32 format's
-// registration order) so that transcoding an fp32 file and re-saving a
-// loaded module produce byte-identical output. Per record:
-//   u64 name_len, name bytes
-//   u64 kind                  0 = raw fp32, 1 = per-column symmetric int8
-//   u64 ndim, u64 dims[ndim]
-//   kind 0: f32 data[numel]
-//   kind 1: f32 scales[cols], i8 data[rows*cols]   (ndim == 2 only)
-constexpr uint64_t kMagicQuant = 0x31514B434D465354ULL;  // "TSFMCKQ1"
-constexpr uint32_t kVersionQuant = 1;
-constexpr uint64_t kKindF32 = 0;
-constexpr uint64_t kKindInt8 = 1;
 
 // Plausibility caps: a parameter path is a short slash-separated string and
 // tensors are at most (batch, time, channel, head)-shaped. Anything larger
@@ -72,208 +53,6 @@ class PayloadReader {
   size_t remaining_;
 };
 
-// Reads one record's name header (shared by both formats).
-Status ReadName(PayloadReader* in, std::string* name) {
-  uint64_t name_len = 0;
-  if (!in->ReadU64(&name_len)) return Status::IoError("truncated checkpoint");
-  if (name_len > kMaxNameLen || name_len > in->remaining()) {
-    return Status::IoError("implausible parameter name length");
-  }
-  name->assign(name_len, '\0');
-  if (!in->ReadBytes(name->data(), name_len)) {
-    return Status::IoError("truncated checkpoint (name)");
-  }
-  return Status::OK();
-}
-
-// Reads a shape whose element count is bounded by the remaining bytes at
-// `bytes_per_elem` granularity (overflow-safe: divide before multiplying).
-Status ReadShape(PayloadReader* in, uint64_t bytes_per_elem, Shape* shape,
-                 uint64_t* numel) {
-  uint64_t ndim = 0;
-  if (!in->ReadU64(&ndim)) return Status::IoError("truncated checkpoint");
-  if (ndim > kMaxNdim) {
-    return Status::IoError("implausible tensor rank in checkpoint");
-  }
-  shape->assign(ndim, 0);
-  *numel = 1;
-  for (uint64_t d = 0; d < ndim; ++d) {
-    uint64_t dim = 0;
-    if (!in->ReadU64(&dim)) return Status::IoError("truncated checkpoint");
-    if (dim == 0 || dim > (in->remaining() / bytes_per_elem) / *numel) {
-      return Status::IoError("non-positive or oversized dim in checkpoint");
-    }
-    (*shape)[d] = static_cast<int64_t>(dim);
-    *numel *= dim;
-  }
-  return Status::OK();
-}
-
-// Parses the fp32 record stream into name -> tensor.
-Status ParseFp32Payload(const std::string& payload,
-                        std::map<std::string, Tensor>* records) {
-  PayloadReader in(payload);
-  uint64_t count = 0;
-  if (!in.ReadU64(&count)) return Status::IoError("truncated checkpoint");
-  // Each record needs at least its two length fields.
-  if (count > in.remaining() / 16) {
-    return Status::IoError("implausible parameter count in checkpoint");
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string name;
-    TSFM_RETURN_IF_ERROR(ReadName(&in, &name));
-    Shape shape;
-    uint64_t numel = 0;
-    TSFM_RETURN_IF_ERROR(ReadShape(&in, sizeof(float), &shape, &numel));
-    Tensor t = Tensor::Empty(shape);
-    if (!in.ReadBytes(t.mutable_data(), numel * sizeof(float))) {
-      return Status::IoError("truncated checkpoint data");
-    }
-    records->emplace(std::move(name), std::move(t));
-  }
-  if (in.remaining() != 0) {
-    return Status::IoError("trailing bytes after checkpoint records");
-  }
-  return Status::OK();
-}
-
-struct QuantRecord {
-  Tensor value;  // dequantized (or raw) fp32
-  std::shared_ptr<const simd::QuantizedMatrix> q;  // kind-int8 records only
-};
-
-// Parses the quantized record stream, dequantizing into fp32 tensors while
-// keeping the exact int8 images.
-Status ParseQuantPayload(const std::string& payload,
-                         std::map<std::string, QuantRecord>* records) {
-  PayloadReader in(payload);
-  uint64_t count = 0;
-  if (!in.ReadU64(&count)) return Status::IoError("truncated checkpoint");
-  if (count > in.remaining() / 24) {
-    return Status::IoError("implausible parameter count in checkpoint");
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string name;
-    TSFM_RETURN_IF_ERROR(ReadName(&in, &name));
-    uint64_t kind = 0;
-    if (!in.ReadU64(&kind)) return Status::IoError("truncated checkpoint");
-    QuantRecord rec;
-    if (kind == kKindF32) {
-      Shape shape;
-      uint64_t numel = 0;
-      TSFM_RETURN_IF_ERROR(ReadShape(&in, sizeof(float), &shape, &numel));
-      Tensor t = Tensor::Empty(shape);
-      if (!in.ReadBytes(t.mutable_data(), numel * sizeof(float))) {
-        return Status::IoError("truncated checkpoint data");
-      }
-      rec.value = std::move(t);
-    } else if (kind == kKindInt8) {
-      Shape shape;
-      uint64_t numel = 0;
-      TSFM_RETURN_IF_ERROR(ReadShape(&in, /*bytes_per_elem=*/1, &shape,
-                                     &numel));
-      if (shape.size() != 2) {
-        return Status::IoError("int8 checkpoint record is not 2-D");
-      }
-      const uint64_t rows = static_cast<uint64_t>(shape[0]);
-      const uint64_t cols = static_cast<uint64_t>(shape[1]);
-      if (cols * sizeof(float) > in.remaining() ||
-          numel > in.remaining() - cols * sizeof(float)) {
-        return Status::IoError("truncated checkpoint data");
-      }
-      auto q = std::make_shared<simd::QuantizedMatrix>();
-      q->rows = static_cast<int64_t>(rows);
-      q->cols = static_cast<int64_t>(cols);
-      q->scales.resize(cols);
-      q->data.resize(numel);
-      if (!in.ReadBytes(q->scales.data(), cols * sizeof(float)) ||
-          !in.ReadBytes(q->data.data(), numel)) {
-        return Status::IoError("truncated checkpoint data");
-      }
-      simd::PackQuantized(q.get());
-      Tensor t = Tensor::Empty(shape);
-      float* p = t.mutable_data();
-      for (uint64_t r = 0; r < rows; ++r) {
-        for (uint64_t c = 0; c < cols; ++c) {
-          p[r * cols + c] =
-              static_cast<float>(q->data[r * cols + c]) * q->scales[c];
-        }
-      }
-      rec.value = std::move(t);
-      rec.q = std::move(q);
-    } else {
-      return Status::IoError("unknown record kind in quantized checkpoint");
-    }
-    records->emplace(std::move(name), std::move(rec));
-  }
-  if (in.remaining() != 0) {
-    return Status::IoError("trailing bytes after checkpoint records");
-  }
-  return Status::OK();
-}
-
-// Appends one quantized-format record. `t` must be contiguous.
-void AppendQuantRecord(std::ostream& os, const std::string& name,
-                       const Tensor& t) {
-  WriteU64(os, name.size());
-  os.write(name.data(), static_cast<std::streamsize>(name.size()));
-  const bool quantize = t.ndim() == 2;
-  WriteU64(os, quantize ? kKindInt8 : kKindF32);
-  WriteU64(os, static_cast<uint64_t>(t.ndim()));
-  for (int64_t d : t.shape()) WriteU64(os, static_cast<uint64_t>(d));
-  if (!quantize) {
-    os.write(reinterpret_cast<const char*>(t.data()),
-             static_cast<std::streamsize>(t.numel() * sizeof(float)));
-    return;
-  }
-  const simd::QuantizedMatrix q =
-      simd::QuantizeWeight(t.data(), t.dim(0), t.dim(1));
-  os.write(reinterpret_cast<const char*>(q.scales.data()),
-           static_cast<std::streamsize>(q.scales.size() * sizeof(float)));
-  os.write(reinterpret_cast<const char*>(q.data.data()),
-           static_cast<std::streamsize>(q.data.size()));
-}
-
-Status LoadQuantizedCheckpoint(Module* module, const std::string& path) {
-  TSFM_ASSIGN_OR_RETURN(
-      const std::string payload,
-      io::ReadArtifactPayload(path, kMagicQuant, kVersionQuant));
-  std::map<std::string, QuantRecord> records;
-  TSFM_RETURN_IF_ERROR(ParseQuantPayload(payload, &records));
-
-  auto params = module->NamedParameters();
-  if (params.size() != records.size()) {
-    return Status::InvalidArgument(
-        "checkpoint/module parameter count mismatch: file has " +
-        std::to_string(records.size()) + ", module has " +
-        std::to_string(params.size()));
-  }
-  for (auto& [name, p] : params) {
-    auto it = records.find(name);
-    if (it == records.end()) {
-      return Status::NotFound("parameter missing from checkpoint: " + name);
-    }
-    if (it->second.value.shape() != p.value().shape()) {
-      return Status::InvalidArgument(
-          "shape mismatch for " + name + ": file " +
-          ShapeToString(it->second.value.shape()) + " vs module " +
-          ShapeToString(p.value().shape()));
-    }
-    p.SetValue(it->second.value);
-  }
-  // Install the exact stored int8 images: re-quantizing the dequantized
-  // fp32 weights is not guaranteed to reproduce them bit-for-bit (the
-  // scales wobble through the fp32 round trip), and save -> load -> predict
-  // must be bit-stable in quant mode.
-  std::map<std::string, std::shared_ptr<const simd::QuantizedMatrix>>
-      by_path;
-  for (auto& [name, rec] : records) {
-    if (rec.q != nullptr) by_path.emplace(name, rec.q);
-  }
-  module->AdoptQuantized(by_path);
-  return Status::OK();
-}
-
 }  // namespace
 
 Status SaveCheckpoint(const Module& module, const std::string& path) {
@@ -292,47 +71,55 @@ Status SaveCheckpoint(const Module& module, const std::string& path) {
   return io::WriteArtifact(path, kMagic, kVersion, os.str());
 }
 
-Status SaveQuantizedCheckpoint(const Module& module,
-                               const std::string& path) {
-  auto params = module.NamedParameters();
-  std::sort(params.begin(), params.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::ostringstream os;
-  WriteU64(os, params.size());
-  for (const auto& [name, p] : params) {
-    AppendQuantRecord(os, name, p.value().Contiguous());
-  }
-  return io::WriteArtifact(path, kMagicQuant, kVersionQuant, os.str());
-}
-
-Status QuantizeCheckpointFile(const std::string& in_path,
-                              const std::string& out_path) {
-  TSFM_ASSIGN_OR_RETURN(const std::string payload,
-                        io::ReadArtifactPayload(in_path, kMagic, kVersion));
-  std::map<std::string, Tensor> records;
-  TSFM_RETURN_IF_ERROR(ParseFp32Payload(payload, &records));
-  // std::map iterates in name order — same order SaveQuantizedCheckpoint
-  // writes, so the two produce byte-identical files.
-  std::ostringstream os;
-  WriteU64(os, records.size());
-  for (const auto& [name, t] : records) {
-    AppendQuantRecord(os, name, t);
-  }
-  return io::WriteArtifact(out_path, kMagicQuant, kVersionQuant, os.str());
-}
-
-Result<bool> IsQuantizedCheckpoint(const std::string& path) {
-  TSFM_ASSIGN_OR_RETURN(const uint64_t magic, io::ReadArtifactMagic(path));
-  return magic == kMagicQuant;
-}
-
 Status LoadCheckpoint(Module* module, const std::string& path) {
-  TSFM_ASSIGN_OR_RETURN(const uint64_t magic, io::ReadArtifactMagic(path));
-  if (magic == kMagicQuant) return LoadQuantizedCheckpoint(module, path);
   TSFM_ASSIGN_OR_RETURN(const std::string payload,
                         io::ReadArtifactPayload(path, kMagic, kVersion));
+  PayloadReader in(payload);
+  uint64_t count = 0;
+  if (!in.ReadU64(&count)) return Status::IoError("truncated checkpoint");
+  // Each record needs at least its two length fields.
+  if (count > in.remaining() / 16) {
+    return Status::IoError("implausible parameter count in checkpoint");
+  }
+
   std::map<std::string, Tensor> records;
-  TSFM_RETURN_IF_ERROR(ParseFp32Payload(payload, &records));
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t name_len = 0;
+    if (!in.ReadU64(&name_len)) return Status::IoError("truncated checkpoint");
+    if (name_len > kMaxNameLen || name_len > in.remaining()) {
+      return Status::IoError("implausible parameter name length");
+    }
+    std::string name(name_len, '\0');
+    if (!in.ReadBytes(name.data(), name_len)) {
+      return Status::IoError("truncated checkpoint (name)");
+    }
+    uint64_t ndim = 0;
+    if (!in.ReadU64(&ndim)) return Status::IoError("truncated checkpoint");
+    if (ndim > kMaxNdim) {
+      return Status::IoError("implausible tensor rank in checkpoint");
+    }
+    Shape shape(ndim);
+    uint64_t numel = 1;
+    for (uint64_t d = 0; d < ndim; ++d) {
+      uint64_t dim = 0;
+      if (!in.ReadU64(&dim)) return Status::IoError("truncated checkpoint");
+      // Overflow-safe bound: the element count can never exceed the float
+      // capacity of the bytes still unread, so divide before multiplying.
+      if (dim == 0 || dim > (in.remaining() / sizeof(float)) / numel) {
+        return Status::IoError("non-positive or oversized dim in checkpoint");
+      }
+      shape[d] = static_cast<int64_t>(dim);
+      numel *= dim;
+    }
+    Tensor t = Tensor::Empty(shape);
+    if (!in.ReadBytes(t.mutable_data(), numel * sizeof(float))) {
+      return Status::IoError("truncated checkpoint data");
+    }
+    records.emplace(std::move(name), std::move(t));
+  }
+  if (in.remaining() != 0) {
+    return Status::IoError("trailing bytes after checkpoint records");
+  }
 
   auto params = module->NamedParameters();
   if (params.size() != records.size()) {
@@ -354,9 +141,6 @@ Status LoadCheckpoint(Module* module, const std::string& path) {
     }
     p.SetValue(it->second);
   }
-  // Per-channel scales are computed once here rather than lazily mid-serve
-  // when the quantized path is active.
-  if (simd::QuantModeEnabled()) module->PrepareQuantized();
   return Status::OK();
 }
 

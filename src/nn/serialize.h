@@ -17,28 +17,7 @@ Status SaveCheckpoint(const Module& module, const std::string& path);
 /// Loads a checkpoint into `module`. Every parameter in the module must be
 /// present in the file with a matching shape; extra records in the file are
 /// an error (the checkpoint and architecture must correspond exactly).
-///
-/// Accepts both formats: the magic is sniffed, and quantized ("TSFMCKQ1")
-/// files are dequantized into the fp32 parameters while the exact stored
-/// int8 images are installed into the module's quantized-weight caches
-/// (Module::AdoptQuantized), so a quantized-mode predict after loading
-/// serves the very bytes on disk.
 Status LoadCheckpoint(Module* module, const std::string& path);
-
-/// Writes a quantized ("TSFMCKQ1") checkpoint: 2-D parameters are stored as
-/// per-column symmetric int8 + fp32 scales (~4x smaller on encoder-sized
-/// weight matrices), everything else stays raw fp32.
-Status SaveQuantizedCheckpoint(const Module& module, const std::string& path);
-
-/// Transcodes an existing fp32 checkpoint file into the quantized format
-/// without needing the model architecture (record-level rewrite). Produces
-/// byte-identical output to SaveQuantizedCheckpoint of the module the fp32
-/// file was saved from.
-Status QuantizeCheckpointFile(const std::string& in_path,
-                              const std::string& out_path);
-
-/// True when `path` holds a quantized ("TSFMCKQ1") checkpoint.
-Result<bool> IsQuantizedCheckpoint(const std::string& path);
 
 }  // namespace tsfm::nn
 

@@ -58,7 +58,7 @@ struct RunReport {
   double mem_heap_allocs = 0;
 
   // execution: how the encoder forwards ran.
-  std::string embed_mode = "eager";  // "eager" | "int8" | "cache"
+  std::string embed_mode = "eager";  // "eager" | "cache"
 
   // result: finetune::FineTuneResult of the run.
   double train_accuracy = 0;

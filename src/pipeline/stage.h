@@ -45,7 +45,7 @@ struct ExecutionContext {
   const data::ChannelStats* cache_stats = nullptr;
 
   /// When non-null, receives how the embed stage actually ran: "cache" on a
-  /// cache hit, otherwise "int8"/"eager" per the current quant mode.
+  /// cache hit, otherwise "eager".
   std::string* embed_mode = nullptr;
   /// When non-null, every stage pass accumulates its wall-clock here
   /// (entries aggregate by stage name across passes).

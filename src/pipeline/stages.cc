@@ -13,7 +13,6 @@
 #include "obs/trace.h"
 #include "optim/optim.h"
 #include "runtime/thread_pool.h"
-#include "simd/dispatch.h"
 #include "tensor/ops.h"
 
 namespace tsfm::pipeline {
@@ -148,14 +147,13 @@ Result<Tensor> EmbedStage::Apply(const Tensor& x,
   if (x.ndim() != 3) {
     return Status::InvalidArgument("embed stage expects (N, T, D)");
   }
-  std::string mode;
+  std::string mode = "eager";
   Tensor emb;
   if (ctx.allow_embed_cache) {
     emb = EmbedDatasetCached(*model_, x, ctx.batch_size, ctx.seed,
                              ctx.cache_salt, ctx.cache_stats, &mode);
   } else {
     // Per-request path: never hash the model per call.
-    mode = simd::QuantModeEnabled() ? "int8" : "eager";
     emb = EmbedDataset(*model_, x, ctx.batch_size, ctx.seed);
   }
   if (ctx.embed_mode != nullptr) *ctx.embed_mode = mode;
@@ -299,14 +297,8 @@ std::string EmbedCacheKey(const models::FoundationModel& model,
   // different train stats on the same raw tensor can never hit a stale
   // entry.
   io::HashBuilder key;
-  key.AddString("tsfm.embed.v4");
+  key.AddString("tsfm.embed.v5");
   key.AddString(salt);
-  // Numeric mode is part of the key: SIMD transcendentals and the int8
-  // Linear path produce results that differ (within the accuracy epsilon)
-  // from the scalar fp32 kernels, so their embeddings must never share a
-  // cache entry with fp32 runs.
-  key.AddString(simd::QuantModeEnabled() ? "quant-int8" : "fp32");
-  key.AddString(simd::SimdEnabled() ? "simd" : "scalar");
   key.AddU64(static_cast<uint64_t>(batch_size));
   if (stats != nullptr && stats->mean.numel() > 0) {
     key.AddString("stats");
@@ -327,7 +319,7 @@ Tensor EmbedDatasetCached(const models::FoundationModel& model,
                           const Tensor& x, int64_t batch_size, uint64_t seed,
                           const std::string& salt,
                           const data::ChannelStats* stats, std::string* mode) {
-  if (mode != nullptr) *mode = simd::QuantModeEnabled() ? "int8" : "eager";
+  if (mode != nullptr) *mode = "eager";
   if (!io::EmbedCacheEnabled()) {
     return EmbedDataset(model, x, batch_size, seed);
   }

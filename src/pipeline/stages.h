@@ -160,7 +160,7 @@ std::string EmbedCacheKey(const models::FoundationModel& model,
 /// cache disabled this is exactly `EmbedDataset`; a hit skips the encoder
 /// entirely and is bit-identical to the miss path. Results of budget-aborted
 /// passes are never stored. When `mode` is non-null it receives "cache" on a
-/// hit, otherwise "int8"/"eager" per the current quant mode.
+/// hit, otherwise "eager".
 Tensor EmbedDatasetCached(const models::FoundationModel& model,
                           const Tensor& x, int64_t batch_size, uint64_t seed,
                           const std::string& salt,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <memory>
@@ -31,6 +32,28 @@ SchedulerMetrics& Metrics() {
       obs::Registry::Instance().GetCounter("runtime.tasks_executed"),
       obs::Registry::Instance().GetGauge("runtime.queue_high_water")};
   return m;
+}
+
+// A thread that runs out of parallel work polls for more this long before
+// it blocks. A forward pass issues ParallelFor regions microseconds apart.
+// Blocking between them costs a sleep and a wake-up per region, and on a
+// virtual machine an idle vCPU halts, so its wake-up waits on the hypervisor:
+// on a busy host that wait can outlast the region itself.
+constexpr auto kPollFor = std::chrono::microseconds(50);
+
+// Polls `ready` until it holds or kPollFor has passed; returns its value.
+template <typename Pred>
+bool PollUntil(Pred ready) {
+  const auto until = std::chrono::steady_clock::now() + kPollFor;
+  for (;;) {
+    for (int i = 0; i < 64; ++i) {
+      if (ready()) return true;
+#if defined(__x86_64__) || defined(__i386__)
+      __builtin_ia32_pause();
+#endif
+    }
+    if (std::chrono::steady_clock::now() >= until) return ready();
+  }
 }
 
 // Set while a thread executes ParallelFor chunks — on pool workers for the
@@ -88,30 +111,42 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::Submit(std::function<void()> task) {
   SchedulerMetrics& m = Metrics();
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     TSFM_CHECK(!stop_) << "Submit on a stopped ThreadPool";
     queue_.push_back(std::move(task));
+    queued_.store(queue_.size(), std::memory_order_release);
     const double depth = static_cast<double>(queue_.size());
     if (depth > m.queue_high_water->value()) m.queue_high_water->Set(depth);
+    // The polling worker takes one task without a wake-up: it checks the
+    // queue under mu_ before it blocks.
+    wake = queue_.size() > static_cast<size_t>(polling_);
   }
   m.submitted->Add(1);
-  cv_.notify_one();
+  if (wake) cv_.notify_one();
 }
 
 void ThreadPool::WorkerLoop() {
   g_in_parallel_region = true;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and queue drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
+    if (queue_.empty() && !stop_ && polling_ == 0) {
+      ++polling_;
+      lock.unlock();
+      PollUntil([this] { return queued_.load(std::memory_order_acquire) > 0; });
+      lock.lock();
+      --polling_;
     }
+    cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stop_ set and queue drained
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    queued_.store(queue_.size(), std::memory_order_release);
+    lock.unlock();
     task();
     Metrics().executed->Add(1);
+    lock.lock();
   }
 }
 
@@ -234,6 +269,10 @@ void ParallelForChunks(
     pool->Submit([st] { RunChunks(st); });
   }
   RunChunks(st);  // the caller works too
+  // The helpers' last chunks usually end within microseconds.
+  PollUntil([&] {
+    return st->done.load(std::memory_order_acquire) == st->chunks;
+  });
   {
     std::unique_lock<std::mutex> lock(st->mu);
     st->cv.wait(lock, [&] {

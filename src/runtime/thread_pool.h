@@ -1,6 +1,7 @@
 #ifndef TSFM_RUNTIME_THREAD_POOL_H_
 #define TSFM_RUNTIME_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -13,8 +14,10 @@ namespace tsfm::runtime {
 
 /// Fixed-size thread pool with a shared FIFO queue. No work stealing: tasks
 /// are claimed from one queue under a mutex, which is plenty for the
-/// coarse-grained chunks ParallelFor produces. The destructor drains the
-/// queue and joins all workers (clean shutdown).
+/// coarse-grained chunks ParallelFor produces. A worker that finds the queue
+/// empty polls it briefly before it blocks (at most one worker polls at a
+/// time). The destructor drains the queue and joins all workers (clean
+/// shutdown).
 ///
 /// Most code should not touch this class directly — use the free functions
 /// ParallelFor / ParallelReduce below, which run on a lazily constructed
@@ -40,6 +43,8 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
+  std::atomic<size_t> queued_{0};  // queue_.size(), for the polling worker
+  int polling_ = 0;                // workers polling, 0 or 1; guarded by mu_
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };

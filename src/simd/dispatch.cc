@@ -1,25 +1,7 @@
 #include "simd/dispatch.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 namespace tsfm::simd {
 namespace {
-
-bool EnvTruthy(const char* name) {
-  const char* env = std::getenv(name);
-  return env != nullptr && env[0] == '1';
-}
-
-bool EnvQuant(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return false;
-  return std::strcmp(env, "int8") == 0 || std::strcmp(env, "1") == 0;
-}
-
-std::atomic<bool> g_simd_mode{EnvTruthy("TSFM_SIMD")};
-std::atomic<bool> g_quant_mode{EnvQuant("TSFM_QUANT")};
 
 bool DetectAvx2() {
 #if defined(__AVX2__) && defined(__FMA__) && \
@@ -31,20 +13,6 @@ bool DetectAvx2() {
 }
 
 }  // namespace
-
-bool SimdEnabled() { return g_simd_mode.load(std::memory_order_relaxed); }
-
-void SetSimdMode(bool enabled) {
-  g_simd_mode.store(enabled, std::memory_order_relaxed);
-}
-
-bool QuantModeEnabled() {
-  return g_quant_mode.load(std::memory_order_relaxed);
-}
-
-void SetQuantMode(bool enabled) {
-  g_quant_mode.store(enabled, std::memory_order_relaxed);
-}
 
 bool CpuHasAvx2() {
   // cpuid probes are not cheap enough for inner loops; cache the answer.

@@ -7,9 +7,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
-#include "simd/dispatch.h"
 #include "simd/simd_math.h"
-#include "tensor/op_math.h"
 
 namespace tsfm {
 
@@ -230,11 +228,11 @@ Tensor UnaryOp(const Tensor& t, F f) {
   return out;
 }
 
-// SIMD-mode unary: vectorized row kernel on the contiguous fast path, the
-// kernel's scalar reference on the strided gather path. Each row kernel is
-// bit-identical to its scalar reference applied element-wise, at any split
-// point (simd/simd_math.h), so contiguity, chunk boundaries, and thread
-// count cannot change output bits.
+// Transcendental unary: vectorized row kernel on the contiguous fast path,
+// the kernel's scalar reference on the strided gather path. Each row kernel
+// is bit-identical to its scalar reference applied element-wise, at any
+// split point (simd/simd_math.h), so contiguity, chunk boundaries, and
+// thread count cannot change output bits.
 using RowKernel = void (*)(const float*, float*, int64_t);
 using ScalarKernel = float (*)(float);
 Tensor UnaryRowOp(const Tensor& t, RowKernel row, ScalarKernel scal) {
@@ -348,8 +346,7 @@ Tensor Neg(const Tensor& t) {
   return UnaryOp(t, [](float x) { return -x; });
 }
 Tensor Exp(const Tensor& t) {
-  if (simd::SimdEnabled()) return UnaryRowOp(t, simd::ExpRow, simd::ExpS);
-  return UnaryOp(t, [](float x) { return std::exp(x); });
+  return UnaryRowOp(t, simd::ExpRow, simd::ExpS);
 }
 Tensor Log(const Tensor& t) {
   return UnaryOp(t, [](float x) { return std::log(x); });
@@ -358,21 +355,16 @@ Tensor Sqrt(const Tensor& t) {
   return UnaryOp(t, [](float x) { return std::sqrt(x); });
 }
 Tensor Tanh(const Tensor& t) {
-  if (simd::SimdEnabled()) return UnaryRowOp(t, simd::TanhRow, simd::TanhS);
-  return UnaryOp(t, [](float x) { return std::tanh(x); });
+  return UnaryRowOp(t, simd::TanhRow, simd::TanhS);
 }
 Tensor Sigmoid(const Tensor& t) {
-  if (simd::SimdEnabled()) {
-    return UnaryRowOp(t, simd::SigmoidRow, simd::SigmoidS);
-  }
-  return UnaryOp(t, [](float x) { return ops::detail::SigmoidScalar(x); });
+  return UnaryRowOp(t, simd::SigmoidRow, simd::SigmoidS);
 }
 Tensor Relu(const Tensor& t) {
-  return UnaryOp(t, [](float x) { return ops::detail::ReluScalar(x); });
+  return UnaryOp(t, [](float x) { return x > 0.0f ? x : 0.0f; });
 }
 Tensor Gelu(const Tensor& t) {
-  if (simd::SimdEnabled()) return UnaryRowOp(t, simd::GeluRow, simd::GeluS);
-  return UnaryOp(t, [](float x) { return ops::detail::GeluScalar(x); });
+  return UnaryRowOp(t, simd::GeluRow, simd::GeluS);
 }
 Tensor Abs(const Tensor& t) {
   return UnaryOp(t, [](float x) { return std::fabs(x); });
@@ -748,18 +740,9 @@ Tensor Softmax(const Tensor& t) {
   float* po = out.mutable_data();
   const int64_t grain =
       std::max<int64_t>(1, kElementwiseGrain / std::max<int64_t>(1, len));
-  // Row choice is mode-global, never per-row: every row of a tensor (and of
-  // a whole run) goes through the same kernel. Both kernels share the same
-  // non-finite contract (op_math.h); the SIMD kernel's denominator reduction
-  // order differs, bounded by the CI accuracy-epsilon gate.
-  const bool use_simd = simd::SimdEnabled();
   runtime::ParallelFor(0, outer, grain, [&](int64_t lo, int64_t hi) {
     for (int64_t o = lo; o < hi; ++o) {
-      if (use_simd) {
-        simd::SoftmaxRow(pi + o * len, po + o * len, len);
-      } else {
-        ops::detail::SoftmaxRow(pi + o * len, po + o * len, len);
-      }
+      simd::SoftmaxRow(pi + o * len, po + o * len, len);
     }
   });
   return out;
@@ -776,14 +759,9 @@ Tensor LogSoftmax(const Tensor& t) {
   float* po = out.mutable_data();
   const int64_t grain =
       std::max<int64_t>(1, kElementwiseGrain / std::max<int64_t>(1, len));
-  const bool use_simd = simd::SimdEnabled();
   runtime::ParallelFor(0, outer, grain, [&](int64_t lo, int64_t hi) {
     for (int64_t o = lo; o < hi; ++o) {
-      if (use_simd) {
-        simd::LogSoftmaxRow(pi + o * len, po + o * len, len);
-      } else {
-        ops::detail::LogSoftmaxRow(pi + o * len, po + o * len, len);
-      }
+      simd::LogSoftmaxRow(pi + o * len, po + o * len, len);
     }
   });
   return out;

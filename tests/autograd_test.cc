@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -143,6 +144,19 @@ TEST(GradcheckTest, Gelu) {
   ExpectGradientsMatch(
       [](const ag::Var& x) { return ag::SumAll(ag::Gelu(x)); },
       SmallInput(110));
+}
+
+TEST(GradcheckTest, GeluSaturatedGradientIsFinite) {
+  // The forward returns x for x >= 8 and -0 for x <= -8, so the derivative
+  // there is exactly 1 and 0. The unguarded tanh formula overflows x^3 at
+  // these magnitudes and returned NaN.
+  const float inf = std::numeric_limits<float>::infinity();
+  ag::Var x(Tensor(Shape{6}, {-inf, inf, 3e38f, -3e38f, 8.0f, -8.0f}), true);
+  ag::SumAll(ag::Gelu(x)).Backward();
+  const float want[6] = {0.0f, 1.0f, 1.0f, 0.0f, 1.0f, 0.0f};
+  for (int64_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(x.grad()[i], want[i]) << "x = " << x.value()[i];
+  }
 }
 
 TEST(GradcheckTest, ReluAwayFromKink) {

@@ -19,10 +19,7 @@
 #include "core/pca_adapter.h"
 #include "models/moment.h"
 #include "models/vit.h"
-#include "nn/layers.h"
 #include "runtime/thread_pool.h"
-#include "simd/dispatch.h"
-#include "simd/quant.h"
 #include "tensor/ops.h"
 
 namespace tsfm {
@@ -141,46 +138,18 @@ TEST_F(DeterminismTest, MatMulPropagatesNanThroughZero) {
   }
 }
 
-// SIMD mode keeps the same contract: the row kernels are bit-identical to
-// their scalar reference at any chunk split, so ParallelFor boundaries
-// cannot change output bits.
-TEST_F(DeterminismTest, SimdModeElementwiseAndSoftmax) {
-  simd::ScopedSimdMode simd_on(true);
+// The vectorized transcendental kernels are bit-identical to their scalar
+// reference at any chunk split, so ParallelFor boundaries cannot change
+// output bits.
+TEST_F(DeterminismTest, TranscendentalsAndSoftmax) {
   Rng rng(40);
   Tensor a = Tensor::RandN({150, 90}, &rng, 3.0f);
-  ExpectBitIdentical([&] { return Exp(a); }, "SIMD Exp");
-  ExpectBitIdentical([&] { return Tanh(a); }, "SIMD Tanh");
-  ExpectBitIdentical([&] { return Gelu(a); }, "SIMD Gelu");
-  ExpectBitIdentical([&] { return Sigmoid(a); }, "SIMD Sigmoid");
-  ExpectBitIdentical([&] { return Softmax(a); }, "SIMD Softmax");
-  ExpectBitIdentical([&] { return LogSoftmax(a); }, "SIMD LogSoftmax");
-}
-
-// Quant mode is even stronger: int8 x int8 -> int32 accumulation is exact
-// integer arithmetic, independent of summation order entirely.
-TEST_F(DeterminismTest, QuantizedLinearForward) {
-  simd::ScopedQuantMode quant_on(true);
-  ag::NoGradGuard guard;
-  Rng rng(41);
-  nn::Linear fc(64, 64, &rng);
-  Tensor x = Tensor::RandN({300, 64}, &rng);
-  ExpectBitIdentical([&] { return fc.Forward(ag::Constant(x)).value(); },
-                     "quantized Linear forward");
-}
-
-TEST_F(DeterminismTest, QuantMatMulKernel) {
-  Rng rng(42);
-  const int64_t m = 400, k = 48, n = 56;
-  Tensor a = Tensor::RandN({m, k}, &rng);
-  Tensor w = Tensor::RandN({k, n}, &rng);
-  const simd::QuantizedMatrix q = simd::QuantizeWeight(w.data(), k, n);
-  ExpectBitIdentical(
-      [&] {
-        Tensor c = Tensor::Empty({m, n});
-        simd::QuantMatMul(a.data(), m, q, c.mutable_data());
-        return c;
-      },
-      "QuantMatMul");
+  ExpectBitIdentical([&] { return Exp(a); }, "Exp");
+  ExpectBitIdentical([&] { return Tanh(a); }, "Tanh");
+  ExpectBitIdentical([&] { return Gelu(a); }, "Gelu");
+  ExpectBitIdentical([&] { return Sigmoid(a); }, "Sigmoid");
+  ExpectBitIdentical([&] { return Softmax(a); }, "Softmax");
+  ExpectBitIdentical([&] { return LogSoftmax(a); }, "LogSoftmax");
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -167,6 +169,45 @@ TEST_F(RuntimeTest, StandaloneThreadPoolRunsSubmittedWork) {
   // tasks must have run.
   while (done.load() < 100) std::this_thread::yield();
   EXPECT_EQ(done.load(), 100);
+}
+
+// Workers poll the queue for a while before they block. Each pair of tasks
+// here is submitted after an idle gap shorter or longer than that window,
+// and the two must run at the same time, so the second needs a worker other
+// than the poller. A lost wake-up shows as a pair that never meets (or a
+// task that never runs) within the timeout.
+TEST_F(RuntimeTest, SubmitWakesWorkersAcrossIdleGaps) {
+  struct Pair {
+    std::atomic<int> arrived{0};
+    std::atomic<int> met{0};
+    std::atomic<int> finished{0};
+  };
+  const auto timeout = std::chrono::seconds(5);
+  ThreadPool pool(3);
+  for (const int gap_us : {0, 10, 200, 3000}) {
+    for (int rep = 0; rep < 10; ++rep) {
+      std::this_thread::sleep_for(std::chrono::microseconds(gap_us));
+      auto pair = std::make_shared<Pair>();
+      for (int t = 0; t < 2; ++t) {
+        pool.Submit([pair, timeout] {
+          pair->arrived.fetch_add(1);
+          const auto until = std::chrono::steady_clock::now() + timeout;
+          while (pair->arrived.load() < 2 &&
+                 std::chrono::steady_clock::now() < until) {
+            std::this_thread::yield();
+          }
+          if (pair->arrived.load() == 2) pair->met.fetch_add(1);
+          pair->finished.fetch_add(1);
+        });
+      }
+      const auto until = std::chrono::steady_clock::now() + 2 * timeout;
+      while (pair->finished.load() < 2 &&
+             std::chrono::steady_clock::now() < until) {
+        std::this_thread::yield();
+      }
+      ASSERT_EQ(pair->met.load(), 2) << "gap " << gap_us << " us, rep " << rep;
+    }
+  }
 }
 
 TEST_F(RuntimeTest, DefaultNumThreadsIsPositive) {

@@ -60,7 +60,7 @@ EXECUTION_FIELDS = {
     "embed_mode": str,
 }
 
-EMBED_MODES = {"eager", "int8", "cache"}
+EMBED_MODES = {"eager", "cache"}
 
 RESULT_FIELDS = {
     "train_accuracy": NUMBER,

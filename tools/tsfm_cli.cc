@@ -47,10 +47,6 @@
 //       bytes) for a configuration, or — with --prefix — for a fitted
 //       bundle saved by classifier Save / the pipeline registry.
 //       --check-fitted exits nonzero unless every stage is fitted.
-//   tsfm quantize --in model.ckpt --out model.q8.ckpt
-//       Transcode an fp32 checkpoint into the int8 container (~4x smaller
-//       on encoder-sized weights). The output loads wherever --checkpoint
-//       is accepted; the file magic selects the decoder.
 //
 // Observability flags (valid with every command):
 //   --trace out.json     record trace spans and write chrome://tracing JSON
@@ -72,18 +68,6 @@
 //                        frozen-encoder embed passes are served from disk
 //                        (same as TSFM_CACHE_DIR; watch cache.hit/cache.miss
 //                        in --metrics output)
-//   --simd               dispatch exp/tanh/erf/gelu/softmax through the
-//                        vectorized kernels in src/simd/ (AVX2/NEON with a
-//                        lane-exact scalar fallback); results stay
-//                        bit-identical across thread counts, and differ
-//                        from scalar fp32 only within the CI accuracy
-//                        epsilon (same as TSFM_SIMD=1)
-//   --quantize int8      run frozen-encoder (no-grad) Linear layers through
-//                        the dynamically quantized int8 path: per-channel
-//                        weight scales computed once at load, int32
-//                        accumulation, dequantize at layer boundaries
-//                        (same as TSFM_QUANT=int8; deterministic across
-//                        thread counts by exact integer accumulation)
 
 #include <atomic>
 #include <chrono>
@@ -91,7 +75,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -105,7 +88,6 @@
 #include "io/embed_cache.h"
 #include "data/uea_like.h"
 #include "finetune/classifier.h"
-#include "nn/serialize.h"
 #include "obs/budget.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -119,7 +101,6 @@
 #include "runtime/thread_pool.h"
 #include "serve/client.h"
 #include "serve/server.h"
-#include "simd/dispatch.h"
 
 namespace tsfm::cli {
 namespace {
@@ -136,8 +117,6 @@ ArgMap ParseArgs(int argc, char** argv, int start) {
     // --metrics and --report take an optional value.
     if (std::strcmp(argv[i], "--full") == 0) {
       args["full"] = "1";
-    } else if (std::strcmp(argv[i], "--simd") == 0) {
-      args["simd"] = "1";
     } else if (std::strcmp(argv[i], "--check-fitted") == 0) {
       args["check-fitted"] = "1";
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
@@ -779,45 +758,14 @@ int CmdCache(const std::string& verb, const ArgMap& args) {
   return 0;
 }
 
-// `tsfm quantize`: transcode an fp32 checkpoint into the int8 container
-// (per-column symmetric scales for every 2-D parameter) without needing the
-// model architecture. The output loads through the same LoadCheckpoint call
-// as fp32 files — the magic is sniffed.
-int CmdQuantize(const ArgMap& args) {
-  const std::string in = GetOr(args, "in", "");
-  const std::string out = GetOr(args, "out", "");
-  if (in.empty() || out.empty()) {
-    std::fprintf(stderr,
-                 "usage: tsfm quantize --in model.ckpt --out model.q8.ckpt\n");
-    return 1;
-  }
-  if (Status s = nn::QuantizeCheckpointFile(in, out); !s.ok()) {
-    std::fprintf(stderr, "quantize failed: %s\n", s.ToString().c_str());
-    return 1;
-  }
-  std::error_code ec;
-  const auto in_bytes = std::filesystem::file_size(in, ec);
-  const auto out_bytes = ec ? 0 : std::filesystem::file_size(out, ec);
-  if (!ec && out_bytes > 0) {
-    std::printf("%s (%lld bytes) -> %s (%lld bytes), %.2fx smaller\n",
-                in.c_str(), static_cast<long long>(in_bytes), out.c_str(),
-                static_cast<long long>(out_bytes),
-                static_cast<double>(in_bytes) /
-                    static_cast<double>(out_bytes));
-  } else {
-    std::printf("%s -> %s\n", in.c_str(), out.c_str());
-  }
-  return 0;
-}
-
 int Usage() {
   std::fprintf(stderr,
                "usage: tsfm <datasets|generate|estimate|classify|predict|"
-               "serve|serve-stats|cache|pipeline|quantize> [--args]\n"
+               "serve|serve-stats|cache|pipeline> [--args]\n"
                "       [--trace out.json] [--profile out.txt|.json|.folded]\n"
                "       [--metrics [dest]] [--report [dir]] [--threads N]\n"
                "       [--mem-budget BYTES[K|M|G]] [--time-budget SECONDS]\n"
-               "       [--cache-dir DIR] [--simd] [--quantize int8]\n"
+               "       [--cache-dir DIR]\n"
                "see the header of tools/tsfm_cli.cc for details\n");
   return 1;
 }
@@ -857,16 +805,6 @@ int Main(int argc, char** argv) {
     io::SetEmbedCacheDir(cache_dir);
   }
 
-  if (GetOr(args, "simd", "") == "1") simd::SetSimdMode(true);
-  if (const std::string q = GetOr(args, "quantize", ""); !q.empty()) {
-    if (q != "int8") {
-      std::fprintf(stderr, "unknown --quantize scheme '%s' (int8)\n",
-                   q.c_str());
-      return 1;
-    }
-    simd::SetQuantMode(true);
-  }
-
   const std::string trace_path = GetOr(args, "trace", "");
   const std::string profile_path = GetOr(args, "profile", "");
   if (!trace_path.empty() || !profile_path.empty()) obs::EnableTracing();
@@ -899,8 +837,6 @@ int Main(int argc, char** argv) {
                          ? argv[2]
                          : "describe",
                      args);
-  } else if (command == "quantize") {
-    rc = CmdQuantize(args);
   } else {
     return Usage();
   }
