@@ -50,47 +50,33 @@ MicroBatcher::~MicroBatcher() { Stop(); }
 
 std::future<Result<std::vector<int64_t>>> MicroBatcher::SubmitClassify(
     Tensor x, RequestMeta meta, BatchStats* stats) {
-  Pending p;
-  p.x = std::move(x);
-  p.embed = false;
-  p.meta = meta;
-  p.stats = stats;
-  p.enqueue_ns = obs::TraceNowNs();
+  Pending p(std::move(x), /*embed=*/false, meta, stats);
   auto future = p.labels.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) {
-      p.labels.set_value(Status::ResourceExhausted("server stopping"));
-      return future;
-    }
-    queued_samples_ += p.x.dim(0);
-    queue_.push_back(std::move(p));
-  }
-  cv_.notify_all();
+  Enqueue(std::move(p));
   return future;
 }
 
 std::future<Result<Tensor>> MicroBatcher::SubmitEmbed(Tensor x,
                                                       RequestMeta meta,
                                                       BatchStats* stats) {
-  Pending p;
-  p.x = std::move(x);
-  p.embed = true;
-  p.meta = meta;
-  p.stats = stats;
-  p.enqueue_ns = obs::TraceNowNs();
+  Pending p(std::move(x), /*embed=*/true, meta, stats);
   auto future = p.tensor.get_future();
+  Enqueue(std::move(p));
+  return future;
+}
+
+void MicroBatcher::Enqueue(Pending p) {
+  p.enqueue_ns = obs::TraceNowNs();
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) {
-      p.tensor.set_value(Status::ResourceExhausted("server stopping"));
-      return future;
+      p.Fail(Status::ResourceExhausted("server stopping"));
+      return;
     }
     queued_samples_ += p.x.dim(0);
     queue_.push_back(std::move(p));
   }
   cv_.notify_all();
-  return future;
 }
 
 int64_t MicroBatcher::pending_samples() const {
@@ -101,9 +87,6 @@ int64_t MicroBatcher::pending_samples() const {
 void MicroBatcher::Stop() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) {
-      // Already stopping; fall through to join if the worker is still live.
-    }
     stop_ = true;
   }
   cv_.notify_all();
@@ -234,11 +217,7 @@ void MicroBatcher::ExecuteBatch(
                       {p.meta.trace_id, batch_id});
     }
     if (!failure.ok()) {
-      if (p.embed) {
-        p.tensor.set_value(failure);
-      } else {
-        p.labels.set_value(failure);
-      }
+      p.Fail(failure);
     } else if (p.embed) {
       p.tensor.set_value(std::move(tensor_parts[i]));
     } else {
@@ -251,27 +230,14 @@ void MicroBatcher::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (stop_) return;
-      continue;
-    }
-    // Micro-batch window: give compatible requests a chance to coalesce with
-    // the one that just arrived. During a drain the window is skipped so
-    // shutdown answers the backlog as fast as possible.
-    if (!stop_ && options_.window_us > 0) {
-      const auto deadline =
-          Clock::now() + std::chrono::microseconds(options_.window_us);
-      while (!stop_ && queued_samples_ < options_.max_batch) {
-        if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) break;
-      }
-    }
+    // Stop drains: the worker exits only once the queue is empty.
+    if (queue_.empty()) return;
     std::vector<Pending> batch = TakeBatchLocked();
-    if (batch.empty()) continue;
-    // The forward runs outside the lock so new requests keep queueing (and
-    // Stop can be requested) while the encoder is busy.
-    auto session = provider_ ? provider_() : nullptr;
+    // The session lookup and the forward run outside the lock, so new
+    // requests keep queueing (they form the next batch) and Stop can be
+    // requested while the encoder is busy.
     lock.unlock();
-    ExecuteBatch(session, std::move(batch));
+    ExecuteBatch(provider_ ? provider_() : nullptr, std::move(batch));
     lock.lock();
   }
 }

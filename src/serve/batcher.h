@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -17,15 +18,11 @@
 
 namespace tsfm::serve {
 
-/// Micro-batching knobs, mirroring every production model server: the first
-/// pending request opens a window of `window_us`; compatible requests
-/// arriving inside it are coalesced into one forward pass, capped at
-/// `max_batch` samples. window_us == 0 skips the wait but still batches:
-/// each forward takes every compatible request that queued while the
-/// previous forward ran (up to `max_batch`), so under concurrent load
-/// requests still share forwards.
+/// Micro-batching has one policy and no timer: each forward takes every
+/// compatible request that queued while the previous forward ran, capped at
+/// `max_batch` samples. A request reaching an idle batcher runs at once, and
+/// under concurrent load requests still share forwards.
 struct BatchOptions {
-  int64_t window_us = 1000;
   int64_t max_batch = 64;
 };
 
@@ -89,22 +86,35 @@ class MicroBatcher {
   /// Samples currently queued (admission-control input).
   int64_t pending_samples() const;
 
-  /// Drains: every queued request is executed and answered (no window
-  /// waiting), then the worker exits. Idempotent; safe to call while
-  /// submitters are blocked on futures.
+  /// Drains: every request queued before the call is executed and answered,
+  /// then the worker exits. Idempotent; safe to call while submitters are
+  /// blocked on futures.
   void Stop();
 
  private:
   struct Pending {
+    Pending(Tensor x, bool embed, RequestMeta meta, BatchStats* stats)
+        : x(std::move(x)), embed(embed), meta(meta), stats(stats) {}
+
     Tensor x;
-    bool embed = false;
+    bool embed;
     RequestMeta meta;
-    BatchStats* stats = nullptr;  // owned by the submitter
-    int64_t enqueue_ns = 0;       // obs::TraceNowNs() at submit time
+    BatchStats* stats;       // owned by the submitter
+    int64_t enqueue_ns = 0;  // obs::TraceNowNs() at submit time
     std::promise<Result<std::vector<int64_t>>> labels;
     std::promise<Result<Tensor>> tensor;
+
+    void Fail(const Status& status) {
+      if (embed) {
+        tensor.set_value(status);
+      } else {
+        labels.set_value(status);
+      }
+    }
   };
 
+  /// Queues `p` and wakes the worker; after Stop, fails it at once.
+  void Enqueue(Pending p);
   void WorkerLoop();
   /// Pops front plus every compatible queued request, up to max_batch
   /// samples. Caller holds mu_.

@@ -126,7 +126,13 @@ Result<Tensor> Client::Embed(const Tensor& x) {
   if (response.type != MessageType::kEmbedResponse) {
     return Status::Internal("unexpected response type");
   }
-  return DecodeTensorPayload(response.payload, /*expected_ndim=*/2);
+  TSFM_ASSIGN_OR_RETURN(Tensor embeddings,
+                        DecodeTensorPayload(response.payload,
+                                            /*expected_ndim=*/2));
+  if (embeddings.dim(0) != batch.dim(0)) {
+    return Status::Internal("embedding row count does not match batch size");
+  }
+  return embeddings;
 }
 
 Status Client::Ping() {

@@ -12,8 +12,8 @@
 namespace tsfm::serve {
 
 /// Blocking client for the tsfm serve protocol: one request in flight at a
-/// time per connection (which is exactly what lets the server's micro-batch
-/// window coalesce across *many* connections). Used by the CLI verbs
+/// time per connection, so it is concurrency across *many* connections that
+/// fills the server's micro-batches. Used by the CLI verbs
 /// (`tsfm serve reload|stats|stop`), the load generator, and serve_test.
 ///
 /// Not thread-safe; use one Client per thread.
@@ -32,7 +32,8 @@ class Client {
   /// A kBusy reply surfaces as ResourceExhausted("server busy").
   Result<std::vector<int64_t>> Classify(const Tensor& x);
 
-  /// Embeds a (N, T, D) batch into (N, E).
+  /// Embeds a (N, T, D) batch into (N, E); a response with another row
+  /// count is an Internal error.
   Result<Tensor> Embed(const Tensor& x);
 
   Status Ping();

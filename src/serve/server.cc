@@ -294,12 +294,10 @@ void Server::HandlePredict(int fd, Frame frame) {
   // Admission control: shed with an explicit BUSY instead of queueing past
   // the cap — and when a live budget is configured, a tripped budget monitor
   // sheds too (the watchdog degrades to load-shedding here rather than
-  // aborting the process as it does for offline runs).
-  bool busy = batcher_->pending_samples() + samples > options_.max_pending;
-  if (!busy && options_.budget_admission && obs::BudgetConfigured()) {
-    busy = !obs::CheckBudget("serve.admission").ok();
-  }
-  if (busy) {
+  // aborting the process as it does for offline runs). With no budget,
+  // CheckBudget is one relaxed load.
+  if (batcher_->pending_samples() + samples > options_.max_pending ||
+      !obs::CheckBudget("serve.admission").ok()) {
     m.shed->Add(1);
     WriteFrame(fd, Frame{MessageType::kBusy, frame.request_id, ""});
     log_request(samples, "busy");

@@ -28,12 +28,11 @@ struct ServerOptions {
   std::string session_name = "default";
   BatchOptions batch;
   /// Admission cap: classify/embed requests arriving while this many samples
-  /// are already queued are shed with kBusy instead of queued.
+  /// are already queued are shed with kBusy instead of queued. When a live
+  /// budget is configured (obs::SetBudget), requests are also shed with kBusy
+  /// once the budget monitor trips — the watchdog acts as an admission
+  /// controller here, never as an abort.
   int64_t max_pending = 256;
-  /// When a live budget is configured (obs::SetBudget), requests are also
-  /// shed with kBusy once the budget monitor trips — the watchdog acts as an
-  /// admission controller here, never as an abort.
-  bool budget_admission = true;
   /// Handler for kReloadRequest frames: loads the fitted bundle under the
   /// given prefix and installs it under session_name. Unset = reload
   /// requests answered with Unimplemented.

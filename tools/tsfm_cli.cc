@@ -23,12 +23,13 @@
 //   tsfm serve --prefix saved_prefix --classes C [--port 7070] [--host IP]
 //                 [--model moment|vit] [--adapter PCA|...|none] [--dprime 5]
 //                 [--checkpoint path] [--name default]
-//                 [--batch-window-us 1000] [--max-batch 64]
-//                 [--max-pending 256]
+//                 [--max-batch 64] [--max-pending 256]
 //                 [--slo-p99-ms MS] [--slo-error-rate FRAC]
 //                 [--access-log [path]] [--access-log-sample N]
 //       Serve classify/embed traffic over the length-prefixed TCP protocol
-//       with dynamic micro-batching; SIGTERM/SIGINT drain gracefully.
+//       with dynamic micro-batching: each forward takes every request that
+//       queued during the previous one, up to --max-batch samples, with no
+//       timed wait. SIGTERM/SIGINT drain gracefully.
 //       --slo-* evaluate the rolling 60s window and emit structured
 //       breach/recovery events on stderr; --access-log writes one JSON
 //       line per request (stderr/stdout/file, every Nth with --access-
@@ -475,7 +476,6 @@ int CmdServeRun(const ArgMap& args) {
   options.host = GetOr(args, "host", "127.0.0.1");
   options.port = std::atoi(GetOr(args, "port", "7070").c_str());
   options.session_name = name;
-  options.batch.window_us = std::stoll(GetOr(args, "batch-window-us", "1000"));
   options.batch.max_batch = std::stoll(GetOr(args, "max-batch", "64"));
   options.max_pending = std::stoll(GetOr(args, "max-pending", "256"));
   options.slo.p99_ms = std::atof(GetOr(args, "slo-p99-ms", "0").c_str());
@@ -501,11 +501,10 @@ int CmdServeRun(const ArgMap& args) {
   }
   std::signal(SIGTERM, OnServeSignal);
   std::signal(SIGINT, OnServeSignal);
-  std::printf("tsfm serve: listening on %s:%d (session '%s', window %lld us, "
+  std::printf("tsfm serve: listening on %s:%d (session '%s', "
               "max batch %lld, max pending %lld)\n",
               (*server)->options().host.c_str(), (*server)->port(),
               name.c_str(),
-              static_cast<long long>((*server)->options().batch.window_us),
               static_cast<long long>((*server)->options().batch.max_batch),
               static_cast<long long>((*server)->options().max_pending));
   std::fflush(stdout);
