@@ -5,7 +5,6 @@
 #include "common/check.h"
 #include "core/io_util.h"
 #include "core/lcomb_adapter.h"
-#include "core/lda_adapter.h"
 #include "core/pca_adapter.h"
 #include "core/static_adapters.h"
 #include "io/artifact.h"
@@ -43,8 +42,6 @@ const char* AdapterKindName(AdapterKind kind) {
       return "lcomb";
     case AdapterKind::kLcombTopK:
       return "lcomb_top_k";
-    case AdapterKind::kLda:
-      return "LDA";
   }
   return "unknown";
 }
@@ -68,8 +65,6 @@ std::unique_ptr<Adapter> CreateAdapter(AdapterKind kind,
     case AdapterKind::kLcombTopK:
       return std::make_unique<LinearCombinerAdapter>(options,
                                                      /*use_top_k=*/true);
-    case AdapterKind::kLda:
-      return std::make_unique<LdaAdapter>(options);
   }
   return nullptr;
 }
@@ -105,7 +100,7 @@ Result<std::unique_ptr<Adapter>> LoadAdapter(const std::string& path) {
   TSFM_RETURN_IF_ERROR(io::ReadU64(&is, &pws));
   TSFM_RETURN_IF_ERROR(io::ReadU64(&is, &top_k));
   TSFM_RETURN_IF_ERROR(io::ReadU64(&is, &seed));
-  if (kind_raw > static_cast<uint64_t>(AdapterKind::kLda)) {
+  if (kind_raw > static_cast<uint64_t>(AdapterKind::kLcombTopK)) {
     return Status::IoError("unknown adapter kind in file");
   }
   AdapterOptions options;

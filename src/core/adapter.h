@@ -73,6 +73,8 @@ class Adapter {
 };
 
 /// Adapter families implemented by the library (the paper's Section 3.3).
+/// The numeric values are written into saved adapter files, so they never
+/// change; LoadAdapter rejects any value past kLcombTopK.
 enum class AdapterKind {
   kNone,       // identity: keep all D channels
   kPca,        // principal component analysis (+ scaled and patch variants)
@@ -81,7 +83,6 @@ enum class AdapterKind {
   kVar,        // variance-based channel selection
   kLcomb,      // learnable linear combiner
   kLcombTopK,  // lcomb with the top-k row-sparsification rule
-  kLda,        // extension: supervised Fisher-discriminant combiner
 };
 
 const char* AdapterKindName(AdapterKind kind);

@@ -55,40 +55,6 @@ ag::Var MomentModel::EncodeSeries(const ag::Var& series,
   return encoder_->Forward(tokens, ctx);              // (B, P, E)
 }
 
-Result<Tensor> MomentModel::Impute(const Tensor& series,
-                                   const Tensor& mask) const {
-  if (series.ndim() != 2) {
-    return Status::InvalidArgument("Impute expects series of shape (B, T)");
-  }
-  if (mask.shape() != series.shape()) {
-    return Status::InvalidArgument("mask shape must match series shape");
-  }
-  const int64_t b = series.dim(0);
-  const int64_t t = series.dim(1);
-  const int64_t l = config_.patch_len;
-  const int64_t p = NumPatches(t);
-  const int64_t covered = std::min(t, p * l);
-
-  Tensor corrupted = series.Clone();
-  for (int64_t i = 0; i < b * t; ++i) {
-    if (mask[i] != 0.0f) corrupted.mutable_data()[i] = 0.0f;
-  }
-  ag::NoGradGuard guard;
-  nn::ForwardContext ctx{/*training=*/false, nullptr};
-  ag::Var tokens = EncodeSeries(ag::Constant(corrupted), ctx);  // (B, P, E)
-  Tensor recon =
-      reconstruction_head_->Forward(tokens).value();  // (B, P, L)
-  Tensor out = series.Clone();
-  for (int64_t i = 0; i < b; ++i) {
-    for (int64_t s = 0; s < covered; ++s) {
-      if (mask.at({i, s}) != 0.0f) {
-        out.at({i, s}) = recon.at({i, s / l, s % l});
-      }
-    }
-  }
-  return out;
-}
-
 Result<double> MomentModel::Pretrain(const PretrainOptions& options) {
   if (options.mask_ratio <= 0.0f || options.mask_ratio >= 1.0f) {
     return Status::InvalidArgument("mask_ratio must be in (0, 1)");
@@ -129,8 +95,9 @@ Result<double> MomentModel::Pretrain(const PretrainOptions& options) {
       Tensor target =
           Slice(batch, 1, 0, p * l).Reshape(Shape{b, p, l});
       // Masked reconstruction is the MOMENT objective; a small full-series
-      // term additionally supervises the head on visible patches so that
-      // downstream imputation of partially-observed patches is meaningful.
+      // term also supervises the head on visible patches. That term is part
+      // of the recipe every checkpoint and accuracy figure was produced
+      // with: dropping it would change them all.
       ag::Var loss = ag::Add(
           ag::MaskedMseLoss(recon, target, mask),
           ag::Scale(ag::MseLoss(recon, target), 0.2f));

@@ -28,14 +28,6 @@ class MomentModel : public FoundationModel {
   /// right-padded with zeros).
   int64_t NumPatches(int64_t t) const;
 
-  /// Imputation: reconstructs the positions of `series` (B, T) flagged by
-  /// nonzero entries of `mask` (B, T) with the pretrained masked-
-  /// reconstruction head (MOMENT's native pretraining task, exposed as a
-  /// user-facing capability). Masked values are zeroed before encoding, so
-  /// callers need not pre-clean missing entries. Positions beyond the last
-  /// full patch cannot be reconstructed and are returned unchanged.
-  Result<Tensor> Impute(const Tensor& series, const Tensor& mask) const;
-
  private:
   /// (B, T) -> patch value tensor (B, P, patch_len).
   ag::Var Patchify(const ag::Var& series) const;

@@ -353,6 +353,8 @@ void Server::Stop() {
     // fast by the batcher rather than left hanging.
     if (batcher_ != nullptr) batcher_->Stop();
   }
+  // Wakes AcceptLoop's poll at once instead of at its next timeout.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);

@@ -2,14 +2,17 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "core/adapter.h"
+#include "core/io_util.h"
 #include "core/lcomb_adapter.h"
 #include "core/pca_adapter.h"
 #include "core/static_adapters.h"
 #include "data/uea_like.h"
+#include "io/artifact.h"
 #include "linalg/linalg.h"
 #include "tensor/ops.h"
 
@@ -476,6 +479,36 @@ TEST(AdapterSerializationTest, LoadRejectsGarbage) {
   }
   EXPECT_FALSE(core::LoadAdapter(path).ok());
   EXPECT_FALSE(core::LoadAdapter("/nonexistent/adapter.bin").ok());
+  std::remove(path.c_str());
+}
+
+TEST(AdapterSerializationTest, LoadRejectsRetiredAndUnknownKinds) {
+  // A saved PCA adapter with only its kind tag rewritten: 7 belonged to a
+  // retired adapter, 8 was never assigned. The container and the rest of
+  // the payload stay valid, so only the kind check can refuse the file.
+  constexpr uint64_t kAdapterMagic = 0x325044414D465354ULL;  // "TSFMADP2"
+  constexpr uint32_t kAdapterVersion = 2;
+  AdapterOptions options;
+  options.out_channels = 2;
+  core::PcaAdapter pca(options);
+  ASSERT_TRUE(pca.Fit(CorrelatedData(6, 8, 4, 2, 17), DummyLabels(6)).ok());
+  const std::string path = ::testing::TempDir() + "/retired_kind.bin";
+  ASSERT_TRUE(core::SaveAdapter(pca, options, path).ok());
+  ASSERT_TRUE(core::LoadAdapter(path).ok());
+  auto payload = io::ReadArtifactPayload(path, kAdapterMagic, kAdapterVersion);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  for (uint64_t kind : {uint64_t{7}, uint64_t{8}}) {
+    std::ostringstream tag;
+    core::io::WriteU64(&tag, kind);
+    std::string patched = *payload;
+    patched.replace(0, tag.str().size(), tag.str());
+    ASSERT_TRUE(
+        io::WriteArtifact(path, kAdapterMagic, kAdapterVersion, patched).ok());
+    auto loaded = core::LoadAdapter(path);
+    ASSERT_FALSE(loaded.ok()) << "kind " << kind;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError)
+        << loaded.status().ToString();
+  }
   std::remove(path.c_str());
 }
 

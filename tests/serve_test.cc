@@ -575,7 +575,9 @@ TEST(ServeServerTest, HotSwapUnderLoadNeverDropsARequest) {
   for (int swap = 0; swap < 6; ++swap) {
     auto name = admin->Reload(swap % 2 == 0 ? "b" : "a");
     EXPECT_TRUE(name.ok()) << name.status().ToString();
-    if (name.ok()) EXPECT_EQ(*name, "hot");
+    if (name.ok()) {
+      EXPECT_EQ(*name, "hot");
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   for (auto& t : threads) t.join();

@@ -149,5 +149,69 @@ TEST(FormatTest, MeanStdString) {
   EXPECT_EQ(s, "0.600+-0.100");
 }
 
+// -------------------------- Friedman / Nemenyi -----------------------------
+
+TEST(GammaTest, KnownValues) {
+  // P(1, x) = 1 - exp(-x).
+  for (double x : {0.1, 1.0, 3.0}) {
+    EXPECT_NEAR(stats::RegularizedLowerGamma(1.0, x), 1.0 - std::exp(-x),
+                1e-10);
+  }
+  EXPECT_DOUBLE_EQ(stats::RegularizedLowerGamma(2.5, 0.0), 0.0);
+}
+
+TEST(ChiSquareTest, KnownQuantiles) {
+  // Chi-square with 3 df: P(X > 7.815) = 0.05.
+  EXPECT_NEAR(stats::ChiSquareUpperTailP(7.815, 3), 0.05, 1e-3);
+  // 1 df: P(X > 3.841) = 0.05.
+  EXPECT_NEAR(stats::ChiSquareUpperTailP(3.841, 1), 0.05, 1e-3);
+  EXPECT_DOUBLE_EQ(stats::ChiSquareUpperTailP(0.0, 4), 1.0);
+}
+
+TEST(FriedmanTest, DetectsConsistentWinner) {
+  // Method 0 always best across 10 datasets: strongly significant.
+  std::vector<std::vector<double>> acc;
+  for (int d = 0; d < 10; ++d) {
+    acc.push_back({0.9, 0.7, 0.5});
+  }
+  auto r = stats::FriedmanTest(acc);
+  ASSERT_TRUE(r.ok());
+  EXPECT_LT(r->p_value, 0.001);
+  EXPECT_DOUBLE_EQ(r->average_ranks[0], 1.0);
+  EXPECT_DOUBLE_EQ(r->average_ranks[2], 3.0);
+}
+
+TEST(FriedmanTest, NoSignalGivesLargeP) {
+  // Winners rotate evenly: no consistent ranking.
+  std::vector<std::vector<double>> acc;
+  for (int d = 0; d < 12; ++d) {
+    std::vector<double> row{0.5, 0.5, 0.5};
+    row[d % 3] = 0.9;
+    acc.push_back(row);
+  }
+  auto r = stats::FriedmanTest(acc);
+  ASSERT_TRUE(r.ok());
+  EXPECT_GT(r->p_value, 0.5);
+}
+
+TEST(FriedmanTest, RejectsDegenerateInput) {
+  EXPECT_FALSE(stats::FriedmanTest({}).ok());
+  EXPECT_FALSE(stats::FriedmanTest({{0.5, 0.6}}).ok());        // 1 dataset
+  EXPECT_FALSE(stats::FriedmanTest({{0.5}, {0.6}}).ok());      // 1 method
+  EXPECT_FALSE(stats::FriedmanTest({{0.5, 0.6}, {0.5}}).ok()); // ragged
+}
+
+TEST(NemenyiTest, MatchesDemsarTable) {
+  // k=5 methods, N=12 datasets: CD = 2.728 * sqrt(5*6 / (6*12)) = 1.7608.
+  auto cd = stats::NemenyiCriticalDifference(5, 12);
+  ASSERT_TRUE(cd.ok());
+  EXPECT_NEAR(*cd, 1.7608, 1e-3);
+  // More datasets shrink the CD.
+  auto cd_big = stats::NemenyiCriticalDifference(5, 100);
+  EXPECT_LT(*cd_big, *cd);
+  EXPECT_FALSE(stats::NemenyiCriticalDifference(11, 12).ok());
+  EXPECT_FALSE(stats::NemenyiCriticalDifference(5, 1).ok());
+}
+
 }  // namespace
 }  // namespace tsfm

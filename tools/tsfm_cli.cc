@@ -7,7 +7,7 @@
 //   tsfm estimate --dataset NATOPS --model MOMENT --regime full|head|lcomb
 //       Paper-scale V100 verdict (COM/TO/OK) with memory and time.
 //   tsfm classify --train a.csv --test b.csv [--model moment|vit]
-//                 [--adapter PCA|SVD|Rand_Proj|VAR|lcomb|lcomb_top_k|LDA|none]
+//                 [--adapter PCA|SVD|Rand_Proj|VAR|lcomb|lcomb_top_k|none]
 //                 [--dprime 5] [--checkpoint path] [--save prefix]
 //       Fine-tune on your own CSV data and report accuracy; --save
 //       persists the fitted bundle for `pipeline describe --prefix` /
@@ -20,6 +20,8 @@
 //                 [--checkpoint path] [--out labels.txt]
 //       Load a fitted bundle and print one predicted label per input sample
 //       (the offline reference the serve smoke diffs responses against).
+//       --dprime is accepted here and by `serve` for symmetry with
+//       classify; the saved adapter fixes D'.
 //   tsfm serve --prefix saved_prefix --classes C [--port 7070] [--host IP]
 //                 [--model moment|vit] [--adapter PCA|...|none] [--dprime 5]
 //                 [--checkpoint path] [--name default]
@@ -49,7 +51,8 @@
 //       bundle saved by classifier Save / the pipeline registry.
 //       --check-fitted exits nonzero unless every stage is fitted.
 //
-// Observability flags (valid with every command):
+// Any flag a command does not list above is an error, as is a value flag
+// given without a value. Observability flags (valid with every command):
 //   --trace out.json     record trace spans and write chrome://tracing JSON
 //                        (same effect as TSFM_TRACE=out.json)
 //   --profile out.txt    record spans and write an aggregated call-tree
@@ -70,6 +73,7 @@
 //                        (same as TSFM_CACHE_DIR; watch cache.hit/cache.miss
 //                        in --metrics output)
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -81,6 +85,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -107,33 +112,88 @@ namespace tsfm::cli {
 namespace {
 
 using ArgMap = std::map<std::string, std::string>;
+using FlagList = std::vector<std::string_view>;
 
-ArgMap ParseArgs(int argc, char** argv, int start) {
-  ArgMap args;
+// Flags every command accepts: the observability and runtime surface.
+constexpr std::string_view kGlobalFlags[] = {
+    "trace",   "profile",    "metrics",     "report",
+    "threads", "mem-budget", "time-budget", "cache-dir"};
+// Flags that take no value.
+constexpr std::string_view kSwitches[] = {"full", "check-fitted", "follow"};
+
+// The value of a flag given without one; null if the flag needs a value.
+const char* ImpliedValue(std::string_view name) {
+  if (name == "metrics" || name == "access-log") return "stderr";
+  if (name == "report") return "reports";
+  return nullptr;
+}
+
+// The flags each command reads besides the global ones. `serve` is keyed by
+// verb, since the server and its client verbs read different flags.
+const std::map<std::string, FlagList>& CommandFlags() {
+  static const auto* kFlags = new std::map<std::string, FlagList>{
+      {"datasets", {}},
+      {"generate", {"dataset", "seed", "out", "full"}},
+      {"estimate", {"dataset", "model", "regime", "dprime"}},
+      {"classify",
+       {"train", "test", "model", "checkpoint", "adapter", "dprime", "save"}},
+      {"predict",
+       {"prefix", "model", "checkpoint", "adapter", "dprime", "classes",
+        "input", "out"}},
+      {"serve",
+       {"prefix", "model", "checkpoint", "adapter", "dprime", "classes",
+        "name", "host", "port", "max-batch", "max-pending", "slo-p99-ms",
+        "slo-error-rate", "access-log", "access-log-sample"}},
+      {"serve reload", {"host", "port", "prefix"}},
+      {"serve stats", {"host", "port"}},
+      {"serve stop", {"host", "port"}},
+      {"serve-stats", {"host", "port", "follow", "interval-ms"}},
+      {"cache", {}},
+      {"pipeline",
+       {"model", "checkpoint", "adapter", "dprime", "classes", "prefix",
+        "check-fitted"}},
+  };
+  return *kFlags;
+}
+
+template <typename Flags>
+bool Contains(const Flags& flags, std::string_view name) {
+  return std::find(std::begin(flags), std::end(flags), name) !=
+         std::end(flags);
+}
+
+// Parses the flags in argv[start..] into `args`. Only global flags and
+// `flags` are accepted, and a value flag must be given a value; otherwise
+// prints the problem, naming `command`, and returns false.
+bool ParseArgs(int argc, char** argv, int start, const std::string& command,
+               const FlagList& flags, ArgMap* args) {
   for (int i = start; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) != 0) continue;
+    if (std::strncmp(argv[i], "--", 2) != 0) {
+      std::fprintf(stderr, "unexpected argument '%s' for '%s'\n", argv[i],
+                   command.c_str());
+      return false;
+    }
+    const std::string name = argv[i] + 2;
+    if (!Contains(kGlobalFlags, name) && !Contains(flags, name)) {
+      std::fprintf(stderr, "unknown flag --%s for '%s'\n", name.c_str(),
+                   command.c_str());
+      return false;
+    }
     const bool next_is_value =
         i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0;
-    // Valueless flags may appear anywhere without shifting later pairs;
-    // --metrics and --report take an optional value.
-    if (std::strcmp(argv[i], "--full") == 0) {
-      args["full"] = "1";
-    } else if (std::strcmp(argv[i], "--check-fitted") == 0) {
-      args["check-fitted"] = "1";
-    } else if (std::strcmp(argv[i], "--metrics") == 0) {
-      args["metrics"] = next_is_value ? argv[++i] : "stderr";
-    } else if (std::strcmp(argv[i], "--report") == 0) {
-      args["report"] = next_is_value ? argv[++i] : "reports";
-    } else if (std::strcmp(argv[i], "--access-log") == 0) {
-      args["access-log"] = next_is_value ? argv[++i] : "stderr";
-    } else if (std::strcmp(argv[i], "--follow") == 0) {
-      args["follow"] = "1";
+    if (Contains(kSwitches, name)) {
+      (*args)[name] = "1";
     } else if (next_is_value) {
-      const std::string key = argv[i] + 2;
-      args[key] = argv[++i];
+      (*args)[name] = argv[++i];
+    } else if (const char* implied = ImpliedValue(name); implied != nullptr) {
+      (*args)[name] = implied;
+    } else {
+      std::fprintf(stderr, "flag --%s for '%s' needs a value\n",
+                   name.c_str(), command.c_str());
+      return false;
     }
   }
-  return args;
+  return true;
 }
 
 // "512M" / "2G" / "4096" -> bytes; returns false on parse failure.
@@ -263,11 +323,7 @@ bool ParseAdapter(const std::string& adapter_name,
     config->adapter.reset();
     return true;
   }
-  for (auto kind :
-       {core::AdapterKind::kPca, core::AdapterKind::kSvd,
-        core::AdapterKind::kRandProj, core::AdapterKind::kVar,
-        core::AdapterKind::kLcomb, core::AdapterKind::kLcombTopK,
-        core::AdapterKind::kLda}) {
+  for (core::AdapterKind kind : core::AllAdapterKinds()) {
     if (adapter_name == core::AdapterKindName(kind)) {
       config->adapter = kind;
       return true;
@@ -528,8 +584,8 @@ int CmdServeRun(const ArgMap& args) {
   return 0;
 }
 
-// `tsfm serve reload|stats|stop`: thin client verbs against a running
-// server.
+// `tsfm serve reload|stats|stop` (Main has checked the verb): thin client
+// verbs against a running server.
 int CmdServeClient(const std::string& verb, const ArgMap& args) {
   const std::string host = GetOr(args, "host", "127.0.0.1");
   const int port = std::atoi(GetOr(args, "port", "7070").c_str());
@@ -563,17 +619,12 @@ int CmdServeClient(const std::string& verb, const ArgMap& args) {
     std::fputs(stats->c_str(), stdout);
     return 0;
   }
-  if (verb == "stop") {
-    if (auto s = client->Shutdown(); !s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("server draining\n");
-    return 0;
+  if (auto s = client->Shutdown(); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
+    return 1;
   }
-  std::fprintf(stderr, "unknown serve verb '%s' (reload|stats|stop)\n",
-               verb.c_str());
-  return 1;
+  std::printf("server draining\n");
+  return 0;
 }
 
 // `tsfm serve-stats`: scrape a running server's metrics in Prometheus text
@@ -772,7 +823,23 @@ int Usage() {
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
-  const ArgMap args = ParseArgs(argc, argv, 2);
+  const bool has_verb =
+      (command == "serve" || command == "cache" || command == "pipeline") &&
+      argc > 2 && std::strncmp(argv[2], "--", 2) != 0;
+  const std::string verb = has_verb ? argv[2] : "";
+  const auto flags = CommandFlags().find(
+      command == "serve" && has_verb ? command + " " + verb : command);
+  if (flags == CommandFlags().end()) {
+    if (command != "serve") return Usage();
+    std::fprintf(stderr, "unknown serve verb '%s' (reload|stats|stop)\n",
+                 verb.c_str());
+    return 1;
+  }
+  ArgMap args;
+  if (!ParseArgs(argc, argv, has_verb ? 3 : 2, flags->first, flags->second,
+                 &args)) {
+    return 1;
+  }
 
   if (const std::string threads = GetOr(args, "threads", "");
       !threads.empty()) {
@@ -820,24 +887,15 @@ int Main(int argc, char** argv) {
   } else if (command == "predict") {
     rc = CmdPredict(args);
   } else if (command == "serve") {
-    const std::string verb =
-        argc > 2 && std::strncmp(argv[2], "--", 2) != 0 ? argv[2] : "";
     rc = verb.empty() ? CmdServeRun(args) : CmdServeClient(verb, args);
   } else if (command == "serve-stats") {
     std::signal(SIGTERM, OnServeSignal);
     std::signal(SIGINT, OnServeSignal);
     rc = CmdServeStats(args);
   } else if (command == "cache") {
-    rc = CmdCache(argc > 2 && std::strncmp(argv[2], "--", 2) != 0 ? argv[2]
-                                                                  : "list",
-                  args);
-  } else if (command == "pipeline") {
-    rc = CmdPipeline(argc > 2 && std::strncmp(argv[2], "--", 2) != 0
-                         ? argv[2]
-                         : "describe",
-                     args);
-  } else {
-    return Usage();
+    rc = CmdCache(has_verb ? verb : "list", args);
+  } else {  // pipeline
+    rc = CmdPipeline(has_verb ? verb : "describe", args);
   }
 
   if (!trace_path.empty()) {
