@@ -3,6 +3,7 @@
 #include <unordered_set>
 
 #include "common/check.h"
+#include "obs/trace.h"
 #include "runtime/thread_pool.h"
 #include "tensor/ops.h"
 
@@ -46,16 +47,18 @@ void Node::AccumulateGrad(const Tensor& g) {
 }
 
 Var MakeNode(Tensor value, std::vector<Var> inputs,
-             std::function<void(Node*)> backward_fn, std::string op_name) {
+             std::function<void(Node*)> backward_fn, const char* op_name) {
   auto node = std::make_shared<Node>();
   node->value = std::move(value);
-  node->op_name = std::move(op_name);
+  node->op_name = op_name;
+  // Grad mode first: a no-grad forward must not read the inputs' flags,
+  // which a joint fit on another thread may be flipping on shared weights.
+  const bool grad_enabled = GradEnabled();
   bool any_grad = false;
   for (const Var& v : inputs) {
-    TSFM_CHECK(v.defined()) << "undefined input to " << node->op_name;
-    if (v.requires_grad()) any_grad = true;
+    TSFM_CHECK(v.defined()) << "undefined input to " << op_name;
+    if (grad_enabled && v.requires_grad()) any_grad = true;
   }
-  if (!GradEnabled()) any_grad = false;
   if (any_grad) {
     node->requires_grad = true;
     node->backward_fn = std::move(backward_fn);
@@ -71,7 +74,6 @@ Var::Var(Tensor value, bool requires_grad) {
   node_ = std::make_shared<internal::Node>();
   node_->value = std::move(value);
   node_->requires_grad = requires_grad;
-  node_->op_name = "leaf";
 }
 
 const Tensor& Var::value() const {
@@ -88,6 +90,13 @@ Tensor Var::grad() const {
 bool Var::requires_grad() const {
   TSFM_CHECK(defined());
   return node_->requires_grad;
+}
+
+void Var::set_requires_grad(bool requires_grad) {
+  TSFM_CHECK(defined());
+  TSFM_CHECK(node_->inputs.empty() && !node_->backward_fn)
+      << "set_requires_grad on interior node " << node_->op_name;
+  node_->requires_grad = requires_grad;
 }
 
 void Var::ZeroGrad() {
@@ -117,6 +126,7 @@ void Var::Backward() {
   TSFM_CHECK(defined());
   TSFM_CHECK_EQ(node_->value.numel(), 1)
       << "Backward() requires a scalar output";
+  TSFM_TRACE_SPAN("autograd.backward");
   // Topological order via iterative post-order DFS.
   std::vector<internal::Node*> order;
   std::unordered_set<internal::Node*> visited;
@@ -141,7 +151,10 @@ void Var::Backward() {
   node_->AccumulateGrad(Tensor::Full(node_->value.shape(), 1.0f));
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     internal::Node* n = *it;
-    if (n->backward_fn && n->has_grad) n->backward_fn(n);
+    if (n->backward_fn && n->has_grad) {
+      obs::TraceSpan span(n->op_name);
+      n->backward_fn(n);
+    }
   }
 }
 

@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -22,7 +21,8 @@ struct Node {
   Tensor grad;          // allocated lazily; same shape as `value`
   bool has_grad = false;
   bool requires_grad = false;
-  std::string op_name;  // for diagnostics
+  /// String literal naming the op: diagnostics and the backward trace span.
+  const char* op_name = "leaf";
   std::vector<std::shared_ptr<Node>> inputs;
   /// Accumulates `grad` into the inputs' `grad` buffers.
   std::function<void(Node*)> backward_fn;
@@ -54,6 +54,11 @@ class Var {
   /// Gradient accumulated by the last `Backward()`; zeros if none.
   Tensor grad() const;
   bool requires_grad() const;
+  /// Turns gradient tracking of a leaf on or off (e.g. freezing a
+  /// pretrained encoder's weights). Interior nodes cannot be changed.
+  /// Not synchronized: while a flag changes, only the changing thread may
+  /// build a tape over this leaf; no-grad forwards never read it.
+  void set_requires_grad(bool requires_grad);
   const Shape& shape() const { return value().shape(); }
   int64_t dim(int64_t d) const { return value().dim(d); }
   int64_t ndim() const { return value().ndim(); }
@@ -72,7 +77,9 @@ class Var {
   Var Detach() const;
 
   /// Runs reverse-mode accumulation from this variable, which must hold a
-  /// scalar (numel() == 1). Seeds with d(self)/d(self) = 1.
+  /// scalar (numel() == 1). Seeds with d(self)/d(self) = 1. With tracing
+  /// on, records an `autograd.backward` span holding one span per backward
+  /// closure, named by its op.
   void Backward();
 
   std::shared_ptr<internal::Node> node() const { return node_; }
@@ -84,10 +91,11 @@ class Var {
 namespace internal {
 
 /// Creates an interior tape node. `backward_fn` must route `node->grad` into
-/// `inputs`. If no input requires grad (or grad mode is disabled), the node
-/// is constant-folded (no tape edge retained).
+/// `inputs`. If grad mode is disabled, or no input requires grad, the node
+/// is constant-folded (no tape edge retained). Under no-grad it reads no
+/// input's `requires_grad`. `op_name` must be a string literal.
 Var MakeNode(Tensor value, std::vector<Var> inputs,
-             std::function<void(Node*)> backward_fn, std::string op_name);
+             std::function<void(Node*)> backward_fn, const char* op_name);
 
 }  // namespace internal
 

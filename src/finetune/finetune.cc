@@ -3,6 +3,7 @@
 #include <chrono>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "obs/budget.h"
@@ -43,6 +44,26 @@ template <typename T>
 std::shared_ptr<T> Unowned(T* ptr) {
   return std::shared_ptr<T>(ptr, [](T*) {});
 }
+
+// Clears `requires_grad` on the given parameter leaves for its lifetime, so
+// backward stops at their weights while activation gradients still flow
+// through them. Module parameters always require grad outside this scope,
+// so the destructor sets the flag back on every exit path.
+class FreezeParameters {
+ public:
+  explicit FreezeParameters(std::vector<ag::Var> params)
+      : params_(std::move(params)) {
+    for (ag::Var& p : params_) p.set_requires_grad(false);
+  }
+  ~FreezeParameters() {
+    for (ag::Var& p : params_) p.set_requires_grad(true);
+  }
+  FreezeParameters(const FreezeParameters&) = delete;
+  FreezeParameters& operator=(const FreezeParameters&) = delete;
+
+ private:
+  std::vector<ag::Var> params_;
+};
 
 }  // namespace
 
@@ -214,6 +235,12 @@ Result<FineTuneResult> FineTuneWithHead(models::FoundationModel* model,
                                               options.weight_decay);
   }
 
+  // Outside full fine-tuning the encoder is frozen, as in the paper: its
+  // weight gradients would only be computed and thrown away.
+  const FreezeParameters frozen_encoder(
+      options.strategy == Strategy::kFullFineTune ? std::vector<ag::Var>{}
+                                                  : model->Parameters());
+
   const auto t_train = Clock::now();
   double last = 0.0;
   for (int64_t epoch = 0; epoch < options.joint_epochs; ++epoch) {
@@ -240,9 +267,6 @@ Result<FineTuneResult> FineTuneWithHead(models::FoundationModel* model,
       if (slow_opt != nullptr) slow_opt->Step();
       head_opt.ZeroGrad();
       if (slow_opt != nullptr) slow_opt->ZeroGrad();
-      // Clear stray gradients on frozen parameters too.
-      model->ZeroGrad();
-      head.ZeroGrad();
       loss_sum += loss.value()[0];
       if (options.on_epoch) correct += CountCorrect(logits.value(), yb);
     }

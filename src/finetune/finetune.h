@@ -78,7 +78,11 @@ struct FineTuneResult {
 /// Runs one fine-tuning experiment.
 ///
 /// `adapter` may be null (no adapter: all channels go to the encoder).
-/// `model` is mutated only under kFullFineTune; learnable adapters are
+/// `model`'s parameter values are mutated only under kFullFineTune.
+/// Otherwise a joint loop (learnable adapter) clears `requires_grad` on the
+/// encoder's parameters for the loop and sets it again on every exit path,
+/// so no-grad forwards of the same model on other threads stay safe, but
+/// two joint fits on one model must not overlap. Learnable adapters are
 /// mutated by training. Returns InvalidArgument on shape mismatches and
 /// propagates adapter failures.
 ///

@@ -1,10 +1,14 @@
 #include <cmath>
 #include <limits>
+#include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
 #include "common/rng.h"
+#include "obs/profiler.h"
+#include "obs/trace.h"
 #include "tensor/ops.h"
 #include "tests/test_util.h"
 
@@ -62,9 +66,55 @@ TEST(VarTest, NoGradGuardDisablesTape) {
   EXPECT_FALSE(y.requires_grad());
 }
 
+TEST(VarTest, FrozenLeafPassesActivationGradientOnly) {
+  // y = sum(x @ w): with w frozen, x still gets d/dx = rows of sum(w) while
+  // w receives no gradient at all.
+  ag::Var x(Tensor(Shape{1, 2}, {1, 2}), true);
+  ag::Var w(Tensor(Shape{2, 2}, {1, 2, 3, 4}), true);
+  w.set_requires_grad(false);
+  EXPECT_FALSE(w.requires_grad());
+  ag::SumAll(ag::MatMul(x, w)).Backward();
+  EXPECT_NEAR(x.grad()[0], 3.0f, 1e-6f);
+  EXPECT_NEAR(x.grad()[1], 7.0f, 1e-6f);
+  EXPECT_FALSE(w.node()->has_grad);
+  // A node fed only by frozen leaves is constant-folded.
+  EXPECT_FALSE(ag::Square(w).requires_grad());
+  w.set_requires_grad(true);
+  EXPECT_TRUE(w.requires_grad());
+}
+
 TEST(VarDeathTest, BackwardNeedsScalar) {
   ag::Var x(Tensor(Shape{2}, {1, 2}), true);
   EXPECT_DEATH(ag::Square(x).Backward(), "scalar");
+}
+
+TEST(VarDeathTest, SetRequiresGradOnlyOnLeaves) {
+  ag::Var x(Tensor(Shape{2}, {1, 2}), true);
+  ag::Var y = ag::Square(x);
+  EXPECT_DEATH(y.set_requires_grad(false), "interior node Square");
+}
+
+// With tracing on, Backward records one `autograd.backward` span and, inside
+// it, one span per backward closure named by its op.
+TEST(VarTest, BackwardRecordsOneSpanPerOp) {
+  Rng rng(3);
+  ag::Var x(Tensor::RandN({4, 5}, &rng), true);
+  ag::Var w(Tensor::RandN({5, 3}, &rng), true);
+  ag::Var loss = ag::CrossEntropy(ag::Gelu(ag::MatMul(x, w)), {0, 2, 1, 0});
+  obs::EnableTracing();
+  obs::ClearTrace();
+  loss.Backward();
+  obs::DisableTracing();
+  const obs::Profile profile = obs::Profile::FromCurrentTrace();
+  obs::ClearTrace();
+  std::set<std::string> paths;
+  for (const obs::ProfileNode& n : profile.nodes()) paths.insert(n.path);
+  EXPECT_EQ(paths.count("autograd.backward"), 1u);
+  for (const char* op : {"MatMul", "Gelu", "CrossEntropy"}) {
+    EXPECT_EQ(paths.count(std::string("autograd.backward;") + op), 1u) << op;
+  }
+  // Leaves have no backward closure and so no span.
+  EXPECT_EQ(paths.count("autograd.backward;leaf"), 0u);
 }
 
 // ----------------------------- Gradchecks ---------------------------------

@@ -16,7 +16,11 @@
 
 #include "autograd/ops.h"
 #include "common/rng.h"
+#include "core/adapter.h"
 #include "core/pca_adapter.h"
+#include "data/uea_like.h"
+#include "finetune/finetune.h"
+#include "models/head.h"
 #include "models/moment.h"
 #include "models/vit.h"
 #include "runtime/thread_pool.h"
@@ -115,6 +119,43 @@ TEST_F(DeterminismTest, EncoderForward) {
   ExpectBitIdentical(
       [&] { return vit.EncodeChannels(ag::Constant(x), eval).value(); },
       "ViT encoder forward");
+}
+
+// A short lcomb joint fit: every backward closure the encoder, adapter and
+// head use, gradient clipping and both AdamW groups must train the lcomb
+// weight and the head to the same bits at any thread count. The encoder is
+// frozen in this regime, so one model serves every run.
+TEST_F(DeterminismTest, JointStep) {
+  data::UeaDatasetSpec spec{"joint_toy", "jt", 16, 8, 6, 64, 2, 2};
+  const data::DatasetPair pair =
+      data::GenerateUeaLike(spec, 15, data::GeneratorCaps{});
+  Rng rng(16);
+  models::MomentModel moment(models::MomentSmallConfig(), &rng);
+  core::AdapterOptions adapter_options;
+  adapter_options.out_channels = 3;
+  finetune::FineTuneOptions options;
+  options.joint_epochs = 1;
+  options.batch_size = 8;
+  ExpectBitIdentical(
+      [&] {
+        auto adapter =
+            core::CreateAdapter(core::AdapterKind::kLcomb, adapter_options);
+        Rng head_rng(17);
+        models::ClassificationHead head(moment.embedding_dim(),
+                                        spec.classes, &head_rng);
+        EXPECT_TRUE(finetune::FineTuneWithHead(&moment, adapter.get(), &head,
+                                               pair.train, pair.test, options)
+                        .ok());
+        std::vector<Tensor> params;
+        for (const auto& p : adapter->TrainableParameters()) {
+          params.push_back(p.value().Reshape({-1}));
+        }
+        for (const auto& p : head.Parameters()) {
+          params.push_back(p.value().Reshape({-1}));
+        }
+        return Concat(params, 0);
+      },
+      "lcomb joint fit (lcomb weight, head)");
 }
 
 // Regression test for the removed `a == 0` skip in MatMul's inner loop:

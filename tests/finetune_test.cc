@@ -1,3 +1,6 @@
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/adapter.h"
@@ -7,6 +10,7 @@
 #include "models/moment.h"
 #include "models/vit.h"
 #include "obs/budget.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
 
@@ -45,6 +49,13 @@ FineTuneOptions QuickOptions(Strategy strategy) {
   o.joint_epochs = 6;
   o.batch_size = 16;
   return o;
+}
+
+// Every encoder parameter is back to requiring grad, as Module made it.
+void ExpectEncoderRequiresGrad(const models::FoundationModel& model) {
+  for (const auto& [name, p] : model.NamedParameters()) {
+    EXPECT_TRUE(p.requires_grad()) << name;
+  }
 }
 
 TEST(FineTuneTest, HeadOnlyNoAdapterBeatsChance) {
@@ -147,6 +158,61 @@ TEST(FineTuneTest, FullFineTuneMutatesModel) {
   ASSERT_TRUE(r.ok());
   Tensor after = model->EncodeChannels(ag::Constant(probe), ctx).value();
   EXPECT_GT(MaxAbsDiff(before, after), 1e-6f);
+}
+
+// The tensor.matmul_flops delta of one lcomb fit under `strategy`, on a
+// fresh model.
+double LcombFitMatmulFlops(Strategy strategy) {
+  auto model = TinyMoment();
+  auto pair = SmallProblem(15);
+  AdapterOptions ao;
+  ao.out_channels = 3;
+  auto adapter = core::CreateAdapter(AdapterKind::kLcomb, ao);
+  const auto& registry = obs::Registry::Instance();
+  const double before = registry.TakeSnapshot().at("tensor.matmul_flops");
+  auto r = FineTune(model.get(), adapter.get(), pair.train, pair.test,
+                    QuickOptions(strategy));
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return registry.TakeSnapshot().at("tensor.matmul_flops") - before;
+}
+
+// Adapter+head trains only the adapter and the head: backward stops at the
+// frozen encoder's weights, so the same steps and evaluations cost fewer
+// matmul FLOPs than full fine-tuning, which also needs the weight gradients.
+TEST(FineTuneTest, AdapterPlusHeadSkipsEncoderWeightGradients) {
+  const double adapter_plus_head =
+      LcombFitMatmulFlops(Strategy::kAdapterPlusHead);
+  const double full = LcombFitMatmulFlops(Strategy::kFullFineTune);
+  EXPECT_GT(adapter_plus_head, 0.0);
+  EXPECT_LT(adapter_plus_head, full);
+}
+
+// The joint loop freezes the encoder only for its own duration: afterwards
+// every parameter requires grad again and holds exactly its old bytes.
+TEST(FineTuneTest, JointLoopRestoresEncoderFlags) {
+  auto model = TinyMoment();
+  auto pair = SmallProblem(16);
+  std::vector<Tensor> before;
+  for (const auto& p : model->Parameters()) {
+    before.push_back(p.value().Clone());
+  }
+  AdapterOptions ao;
+  ao.out_channels = 3;
+  auto adapter = core::CreateAdapter(AdapterKind::kLcomb, ao);
+  auto r = FineTune(model.get(), adapter.get(), pair.train, pair.test,
+                    QuickOptions(Strategy::kAdapterPlusHead));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ExpectEncoderRequiresGrad(*model);
+  const std::vector<ag::Var> after = model->Parameters();
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < after.size(); ++i) {
+    const Tensor v = after[i].value().Contiguous();
+    ASSERT_EQ(v.shape(), before[i].shape());
+    EXPECT_EQ(std::memcmp(v.data(), before[i].data(),
+                          sizeof(float) * static_cast<size_t>(v.numel())),
+              0)
+        << "parameter " << i;
+  }
 }
 
 TEST(FineTuneTest, HeadOnlyDoesNotMutateModel) {
@@ -278,6 +344,10 @@ TEST(FineTuneTest, TinyTimeBudgetStopsJointLoop) {
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(r.status().message().find("time budget exceeded"),
             std::string::npos);
+  // The early return out of the joint loop unfreezes the encoder too.
+  EXPECT_NE(r.status().message().find("finetune.joint_epoch"),
+            std::string::npos);
+  ExpectEncoderRequiresGrad(*model);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // witness for the serving path (encoder forward, buffer pool, adapter
 // transform, head forward).
 
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <thread>
@@ -31,14 +32,18 @@ data::DatasetPair Problem(uint64_t seed = 21) {
   return data::GenerateUeaLike(spec, seed, data::GeneratorCaps{});
 }
 
-Result<TsfmClassifier> FittedClassifier(const data::DatasetPair& pair) {
+Result<TsfmClassifier> FittedClassifier(
+    const data::DatasetPair& pair,
+    core::AdapterKind adapter = core::AdapterKind::kPca) {
   ClassifierConfig config;
   config.model_kind = models::ModelKind::kVit;
   config.model_config = models::VitTestConfig();
   config.pretrain.corpus_size = 48;
   config.pretrain.series_length = 32;
   config.pretrain.epochs = 1;
+  config.adapter = adapter;
   config.finetune.head_epochs = 8;
+  config.finetune.joint_epochs = 2;
   config.adapter_options.out_channels = 3;
   TSFM_ASSIGN_OR_RETURN(TsfmClassifier clf, TsfmClassifier::Create(config));
   TSFM_RETURN_IF_ERROR(clf.Fit(pair.train, &pair.test));
@@ -150,6 +155,41 @@ TEST(SessionTest, ConcurrentPredictIsBitIdenticalToSerial) {
     EXPECT_EQ(failures[t], 0) << "thread " << t;
     EXPECT_EQ(mismatches[t], 0) << "thread " << t;
   }
+}
+
+// A handed-out session keeps serving while its classifier refits with lcomb
+// on another thread. The refit's joint loop flips requires_grad on the
+// encoder weights the session shares; the session's no-grad forward must
+// never read those flags (under TSan, a race report otherwise).
+TEST(SessionTest, ServesWhileClassifierRefitsLcomb) {
+  auto pair = Problem(27);
+  auto clf = FittedClassifier(pair, core::AdapterKind::kLcomb);
+  ASSERT_TRUE(clf.ok()) << clf.status().ToString();
+  std::shared_ptr<const pipeline::InferenceSession> session = clf->session();
+  const auto reference = session->PredictBatch(pair.test.x);
+  ASSERT_TRUE(reference.ok());
+
+  std::atomic<bool> serving{false};
+  std::atomic<bool> refitting{true};
+  int rounds = 0;
+  int mismatches = 0;
+  std::thread server([&] {
+    do {
+      auto preds = session->PredictBatch(pair.test.x);
+      if (!preds.ok() || *preds != *reference) ++mismatches;
+      ++rounds;
+      serving.store(true);
+    } while (refitting.load());
+  });
+  while (!serving.load()) std::this_thread::yield();
+  const Status refit = clf->Fit(pair.train, &pair.test);
+  refitting.store(false);
+  server.join();
+
+  ASSERT_TRUE(refit.ok()) << refit.ToString();
+  EXPECT_NE(clf->session(), session);
+  EXPECT_GT(rounds, 1);
+  EXPECT_EQ(mismatches, 0);
 }
 
 // Registry hot-swap under concurrent readers: Get always returns a usable

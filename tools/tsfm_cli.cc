@@ -20,8 +20,8 @@
 //                 [--checkpoint path] [--out labels.txt]
 //       Load a fitted bundle and print one predicted label per input sample
 //       (the offline reference the serve smoke diffs responses against).
-//       --dprime is accepted here and by `serve` for symmetry with
-//       classify; the saved adapter fixes D'.
+//       The saved adapter fixes D'; a --dprime given here or to `serve`
+//       must match it.
 //   tsfm serve --prefix saved_prefix --classes C [--port 7070] [--host IP]
 //                 [--model moment|vit] [--adapter PCA|...|none] [--dprime 5]
 //                 [--checkpoint path] [--name default]
@@ -52,7 +52,8 @@
 //       --check-fitted exits nonzero unless every stage is fitted.
 //
 // Any flag a command does not list above is an error, as is a value flag
-// given without a value. Observability flags (valid with every command):
+// given without a value, or a numeric flag whose value is not a number in
+// range. Observability flags (valid with every command):
 //   --trace out.json     record trace spans and write chrome://tracing JSON
 //                        (same effect as TSFM_TRACE=out.json)
 //   --profile out.txt    record spans and write an aggregated call-tree
@@ -75,7 +76,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -87,6 +90,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/adapter.h"
@@ -111,8 +115,13 @@
 namespace tsfm::cli {
 namespace {
 
-using ArgMap = std::map<std::string, std::string>;
 using FlagList = std::vector<std::string_view>;
+
+// The flags given to one command, and the command's name for messages.
+struct Args {
+  std::string command;
+  std::map<std::string, std::string> values;
+};
 
 // Flags every command accepts: the observability and runtime surface.
 constexpr std::string_view kGlobalFlags[] = {
@@ -166,7 +175,8 @@ bool Contains(const Flags& flags, std::string_view name) {
 // `flags` are accepted, and a value flag must be given a value; otherwise
 // prints the problem, naming `command`, and returns false.
 bool ParseArgs(int argc, char** argv, int start, const std::string& command,
-               const FlagList& flags, ArgMap* args) {
+               const FlagList& flags, Args* args) {
+  args->command = command;
   for (int i = start; i < argc; ++i) {
     if (std::strncmp(argv[i], "--", 2) != 0) {
       std::fprintf(stderr, "unexpected argument '%s' for '%s'\n", argv[i],
@@ -182,11 +192,11 @@ bool ParseArgs(int argc, char** argv, int start, const std::string& command,
     const bool next_is_value =
         i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0;
     if (Contains(kSwitches, name)) {
-      (*args)[name] = "1";
+      args->values[name] = "1";
     } else if (next_is_value) {
-      (*args)[name] = argv[++i];
+      args->values[name] = argv[++i];
     } else if (const char* implied = ImpliedValue(name); implied != nullptr) {
-      (*args)[name] = implied;
+      args->values[name] = implied;
     } else {
       std::fprintf(stderr, "flag --%s for '%s' needs a value\n",
                    name.c_str(), command.c_str());
@@ -214,10 +224,32 @@ bool ParseBytes(const std::string& s, double* out) {
   return true;
 }
 
-std::string GetOr(const ArgMap& args, const std::string& key,
+std::string GetOr(const Args& args, const std::string& key,
                   const std::string& fallback) {
-  auto it = args.find(key);
-  return it == args.end() ? fallback : it->second;
+  auto it = args.values.find(key);
+  return it == args.values.end() ? fallback : it->second;
+}
+
+// Reads the numeric flag `key` into `*out`, or `fallback` when it is absent.
+// Text that is not a finite T, has trailing characters or lies outside T's
+// range prints "flag --KEY for 'COMMAND' needs a number" and returns false.
+template <typename T>
+bool GetNumber(const Args& args, const std::string& key, T fallback, T* out) {
+  auto it = args.values.find(key);
+  if (it == args.values.end()) {
+    *out = fallback;
+    return true;
+  }
+  const std::string& text = it->second;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, *out);
+  bool ok = ec == std::errc() && stop == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(*out);
+  if (!ok) {
+    std::fprintf(stderr, "flag --%s for '%s' needs a number\n", key.c_str(),
+                 args.command.c_str());
+  }
+  return ok;
 }
 
 int CmdDatasets() {
@@ -234,15 +266,16 @@ int CmdDatasets() {
   return 0;
 }
 
-int CmdGenerate(const ArgMap& args) {
+int CmdGenerate(const Args& args) {
   auto spec = data::FindUeaSpec(GetOr(args, "dataset", "NATOPS"));
   if (!spec.ok()) {
     std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
     return 1;
   }
-  const uint64_t seed = std::stoull(GetOr(args, "seed", "0"));
+  uint64_t seed = 0;
+  if (!GetNumber<uint64_t>(args, "seed", 0, &seed)) return 1;
   const std::string out = GetOr(args, "out", ".");
-  const data::GeneratorCaps caps = args.count("full")
+  const data::GeneratorCaps caps = args.values.count("full")
                                        ? data::GeneratorCaps{}
                                        : data::DefaultCaps();
   data::DatasetPair pair = data::GenerateUeaLike(*spec, seed, caps);
@@ -262,7 +295,7 @@ int CmdGenerate(const ArgMap& args) {
   return 0;
 }
 
-int CmdEstimate(const ArgMap& args) {
+int CmdEstimate(const Args& args) {
   auto spec = data::FindUeaSpec(GetOr(args, "dataset", "NATOPS"));
   if (!spec.ok()) {
     std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
@@ -279,7 +312,7 @@ int CmdEstimate(const ArgMap& args) {
     regime = resources::TrainRegime::kEmbedOnceHeadOnly;
   } else if (regime_name == "lcomb") {
     regime = resources::TrainRegime::kAdapterPlusHeadLearnable;
-    channels = std::stoll(GetOr(args, "dprime", "5"));
+    if (!GetNumber<int64_t>(args, "dprime", 5, &channels)) return 1;
   } else if (regime_name != "full") {
     std::fprintf(stderr, "unknown regime '%s' (full|head|lcomb)\n",
                  regime_name.c_str());
@@ -332,7 +365,7 @@ bool ParseAdapter(const std::string& adapter_name,
   return false;
 }
 
-int CmdClassify(const ArgMap& args) {
+int CmdClassify(const Args& args) {
   const std::string train_path = GetOr(args, "train", "");
   const std::string test_path = GetOr(args, "test", "");
   if (train_path.empty() || test_path.empty()) {
@@ -367,8 +400,10 @@ int CmdClassify(const ArgMap& args) {
     std::fprintf(stderr, "unknown adapter '%s'\n", adapter_name.c_str());
     return 1;
   }
-  config.adapter_options.out_channels =
-      std::stoll(GetOr(args, "dprime", "5"));
+  if (!GetNumber<int64_t>(args, "dprime", 5,
+                          &config.adapter_options.out_channels)) {
+    return 1;
+  }
   config.report_dir = GetOr(args, "report", "");
 
   auto classifier = finetune::TsfmClassifier::Create(config);
@@ -414,7 +449,7 @@ void OnServeSignal(int sig) {
 // under `--prefix` into the process registry as `name`. Shared by `predict`
 // and `serve`; on success the out-params describe what was installed.
 int LoadServingSession(
-    const ArgMap& args, const std::string& name, int64_t default_classes,
+    const Args& args, const std::string& name, int64_t default_classes,
     std::shared_ptr<const models::FoundationModel>* model_out,
     std::optional<core::AdapterKind>* adapter_out, int64_t* classes_out,
     std::shared_ptr<const pipeline::InferenceSession>* session_out) {
@@ -440,8 +475,12 @@ int LoadServingSession(
     std::fprintf(stderr, "unknown adapter '%s'\n", adapter_name.c_str());
     return 1;
   }
-  const int64_t classes =
-      std::stoll(GetOr(args, "classes", std::to_string(default_classes)));
+  int64_t classes = 0;
+  int64_t dprime = 0;
+  if (!GetNumber(args, "classes", default_classes, &classes) ||
+      !GetNumber<int64_t>(args, "dprime", 0, &dprime)) {
+    return 1;
+  }
   if (classes <= 0) {
     std::fprintf(stderr, "needs --classes (the fitted head's logit "
                          "count)\n");
@@ -461,6 +500,17 @@ int LoadServingSession(
     std::fprintf(stderr, "%s\n", session.status().ToString().c_str());
     return 1;
   }
+  // The saved adapter fixes D'; a --dprime that disagrees is a wrong bundle
+  // or a wrong command line, not something to serve anyway.
+  const core::Adapter* fitted = (*session)->adapter();
+  if (args.values.count("dprime") && fitted != nullptr &&
+      dprime != fitted->output_channels()) {
+    std::fprintf(stderr, "--dprime %lld does not match the bundle at %s, "
+                         "whose adapter has D'=%lld\n",
+                 static_cast<long long>(dprime), prefix.c_str(),
+                 static_cast<long long>(fitted->output_channels()));
+    return 1;
+  }
   *model_out = std::move(frozen);
   *adapter_out = config.adapter;
   *classes_out = classes;
@@ -470,7 +520,7 @@ int LoadServingSession(
 
 // `tsfm predict`: offline per-sample labels from a fitted bundle — the
 // byte-for-byte reference that served responses are diffed against.
-int CmdPredict(const ArgMap& args) {
+int CmdPredict(const Args& args) {
   const std::string input = GetOr(args, "input", "");
   if (input.empty()) {
     std::fprintf(stderr, "predict needs --input CSV path\n");
@@ -516,7 +566,7 @@ int CmdPredict(const ArgMap& args) {
 
 // `tsfm serve` (no verb): run the inference server until SIGTERM/SIGINT or
 // a client shutdown request, then drain and exit 0.
-int CmdServeRun(const ArgMap& args) {
+int CmdServeRun(const Args& args) {
   const std::string name = GetOr(args, "name", "default");
   std::shared_ptr<const models::FoundationModel> model;
   std::optional<core::AdapterKind> adapter;
@@ -530,16 +580,19 @@ int CmdServeRun(const ArgMap& args) {
 
   serve::ServerOptions options;
   options.host = GetOr(args, "host", "127.0.0.1");
-  options.port = std::atoi(GetOr(args, "port", "7070").c_str());
+  uint16_t port = 0;
+  if (!GetNumber<uint16_t>(args, "port", 7070, &port) ||
+      !GetNumber<int64_t>(args, "max-batch", 64, &options.batch.max_batch) ||
+      !GetNumber<int64_t>(args, "max-pending", 256, &options.max_pending) ||
+      !GetNumber(args, "slo-p99-ms", 0.0, &options.slo.p99_ms) ||
+      !GetNumber(args, "slo-error-rate", 0.0, &options.slo.error_rate) ||
+      !GetNumber<int64_t>(args, "access-log-sample", 1,
+                          &options.access_log.sample)) {
+    return 1;
+  }
+  options.port = port;
   options.session_name = name;
-  options.batch.max_batch = std::stoll(GetOr(args, "max-batch", "64"));
-  options.max_pending = std::stoll(GetOr(args, "max-pending", "256"));
-  options.slo.p99_ms = std::atof(GetOr(args, "slo-p99-ms", "0").c_str());
-  options.slo.error_rate =
-      std::atof(GetOr(args, "slo-error-rate", "0").c_str());
   options.access_log.path = GetOr(args, "access-log", "");
-  options.access_log.sample =
-      std::stoll(GetOr(args, "access-log-sample", "1"));
   // `tsfm serve reload` hot-swaps a re-fitted bundle with the same model,
   // adapter kind, and class count into the serving slot.
   options.reload_fn = [model, adapter, classes,
@@ -586,9 +639,10 @@ int CmdServeRun(const ArgMap& args) {
 
 // `tsfm serve reload|stats|stop` (Main has checked the verb): thin client
 // verbs against a running server.
-int CmdServeClient(const std::string& verb, const ArgMap& args) {
+int CmdServeClient(const std::string& verb, const Args& args) {
   const std::string host = GetOr(args, "host", "127.0.0.1");
-  const int port = std::atoi(GetOr(args, "port", "7070").c_str());
+  uint16_t port = 0;
+  if (!GetNumber<uint16_t>(args, "port", 7070, &port)) return 1;
   auto client = serve::Client::Connect(host, port);
   if (!client.ok()) {
     std::fprintf(stderr, "%s\n", client.status().ToString().c_str());
@@ -629,12 +683,15 @@ int CmdServeClient(const std::string& verb, const ArgMap& args) {
 
 // `tsfm serve-stats`: scrape a running server's metrics in Prometheus text
 // exposition format; --follow re-scrapes every --interval-ms until killed.
-int CmdServeStats(const ArgMap& args) {
+int CmdServeStats(const Args& args) {
   const std::string host = GetOr(args, "host", "127.0.0.1");
-  const int port = std::atoi(GetOr(args, "port", "7070").c_str());
+  uint16_t port = 0;
+  int interval_ms = 0;
+  if (!GetNumber<uint16_t>(args, "port", 7070, &port) ||
+      !GetNumber(args, "interval-ms", 1000, &interval_ms)) {
+    return 1;
+  }
   const bool follow = GetOr(args, "follow", "") == "1";
-  const int interval_ms =
-      std::atoi(GetOr(args, "interval-ms", "1000").c_str());
   auto client = serve::Client::Connect(host, port);
   if (!client.ok()) {
     std::fprintf(stderr, "%s\n", client.status().ToString().c_str());
@@ -689,7 +746,7 @@ int FinishDescribe(const std::vector<pipeline::StageDescription>& stages,
 
 // `tsfm pipeline describe`: the composed stage list for a configuration
 // (unfitted stages) or a saved fitted bundle (--prefix).
-int CmdPipeline(const std::string& verb, const ArgMap& args) {
+int CmdPipeline(const std::string& verb, const Args& args) {
   if (verb != "describe") {
     std::fprintf(stderr, "unknown pipeline verb '%s' (describe)\n",
                  verb.c_str());
@@ -712,8 +769,12 @@ int CmdPipeline(const std::string& verb, const ArgMap& args) {
     std::fprintf(stderr, "unknown adapter '%s'\n", adapter_name.c_str());
     return 1;
   }
-  config.adapter_options.out_channels = std::stoll(GetOr(args, "dprime", "5"));
-  const int64_t classes = std::stoll(GetOr(args, "classes", "2"));
+  int64_t classes = 0;
+  if (!GetNumber<int64_t>(args, "dprime", 5,
+                          &config.adapter_options.out_channels) ||
+      !GetNumber<int64_t>(args, "classes", 2, &classes)) {
+    return 1;
+  }
 
   auto model = models::LoadOrPretrain(config.model_kind, config.model_config,
                                       config.pretrain, config.checkpoint_path);
@@ -764,7 +825,7 @@ int CmdPipeline(const std::string& verb, const ArgMap& args) {
 
 // Maintenance verbs for the embedding cache; the directory comes from
 // --cache-dir or TSFM_CACHE_DIR.
-int CmdCache(const std::string& verb, const ArgMap& args) {
+int CmdCache(const std::string& verb, const Args& args) {
   const std::string dir = GetOr(args, "cache-dir", io::EmbedCacheDir());
   if (dir.empty()) {
     std::fprintf(stderr,
@@ -835,15 +896,16 @@ int Main(int argc, char** argv) {
                  verb.c_str());
     return 1;
   }
-  ArgMap args;
+  Args args;
   if (!ParseArgs(argc, argv, has_verb ? 3 : 2, flags->first, flags->second,
                  &args)) {
     return 1;
   }
 
-  if (const std::string threads = GetOr(args, "threads", "");
-      !threads.empty()) {
-    runtime::SetNumThreads(std::atoi(threads.c_str()));
+  if (args.values.count("threads")) {
+    int threads = 0;
+    if (!GetNumber(args, "threads", 0, &threads)) return 1;
+    runtime::SetNumThreads(threads);
   }
 
   obs::BudgetLimits budget;
@@ -855,11 +917,10 @@ int Main(int argc, char** argv) {
     }
     have_budget = true;
   }
-  if (const std::string t = GetOr(args, "time-budget", ""); !t.empty()) {
-    char* end = nullptr;
-    budget.time_seconds = std::strtod(t.c_str(), &end);
-    if (end == t.c_str() || *end != '\0' || budget.time_seconds < 0) {
-      std::fprintf(stderr, "cannot parse --time-budget '%s'\n", t.c_str());
+  if (args.values.count("time-budget")) {
+    if (!GetNumber(args, "time-budget", 0.0, &budget.time_seconds)) return 1;
+    if (budget.time_seconds < 0) {
+      std::fprintf(stderr, "--time-budget must not be negative\n");
       return 1;
     }
     have_budget = true;
