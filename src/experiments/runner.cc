@@ -197,9 +197,7 @@ Result<RunRecord> ExperimentRunner::Run(const RunSpec& spec) {
   if (spec.strategy == finetune::Strategy::kFullFineTune) {
     // Full fine-tuning mutates the encoder: give the run its own copy of the
     // pretrained weights instead of polluting the shared cached model.
-    models_.erase(spec.model_kind);
-    TSFM_ASSIGN_OR_RETURN(model, GetModel(spec.model_kind));
-    models_.erase(spec.model_kind);  // do not reuse the mutated instance
+    model = models::CopyModel(spec.model_kind, *model);
   }
   TSFM_ASSIGN_OR_RETURN(const data::DatasetPair* pair,
                         GetDataset(spec.dataset, spec.seed));

@@ -96,8 +96,8 @@ Status TsfmClassifier::RefreshSession() {
   session_options.batch_size = config_.finetune.batch_size;
   session_options.seed = config_.finetune.seed;
   TSFM_ASSIGN_OR_RETURN(
-      session_, pipeline::InferenceSession::Create(model_, adapter_, head_,
-                                                   stats_, num_classes_,
+      session_, pipeline::InferenceSession::Create(fitted_model_, adapter_,
+                                                   head_, stats_, num_classes_,
                                                    session_options));
   return Status::OK();
 }
@@ -114,6 +114,13 @@ Status TsfmClassifier::Fit(const data::TimeSeriesDataset& train,
     if (adapter_ == nullptr) {
       return Status::InvalidArgument("unknown adapter kind");
     }
+  }
+  // Full fine-tuning trains the encoder, so it trains a copy of the
+  // pretrained weights: earlier sessions and the next Fit keep reading the
+  // pretrained model.
+  std::shared_ptr<models::FoundationModel> fit_model = model_;
+  if (config_.finetune.strategy == Strategy::kFullFineTune) {
+    fit_model = models::CopyModel(config_.model_kind, *model_);
   }
   Rng head_rng(config_.finetune.seed * 2654435761ULL + 13);
   head_ = std::make_shared<models::ClassificationHead>(
@@ -166,7 +173,7 @@ Status TsfmClassifier::Fit(const data::TimeSeriesDataset& train,
 
   Result<FineTuneResult> result = Status::Internal("fit did not run");
   const resources::MeasuredMemory mem = resources::MeasurePeak([&] {
-    result = FineTuneWithHead(model_.get(), adapter_.get(), head_.get(),
+    result = FineTuneWithHead(fit_model.get(), adapter_.get(), head_.get(),
                               train, eval_split, run_options);
   });
   TSFM_RETURN_IF_ERROR(result.status());
@@ -204,6 +211,7 @@ Status TsfmClassifier::Fit(const data::TimeSeriesDataset& train,
     TSFM_ASSIGN_OR_RETURN(last_report_path_,
                           obs::WriteRunReport(last_report_, report_dir));
   }
+  fitted_model_ = std::move(fit_model);
   TSFM_RETURN_IF_ERROR(RefreshSession());
   fitted_ = true;
   return Status::OK();
@@ -228,6 +236,13 @@ Status TsfmClassifier::Save(const std::string& prefix) const {
   if (!fitted_) {
     return Status::FailedPrecondition("cannot save an unfitted classifier");
   }
+  if (fitted_model_ != model_) {
+    // The bundle holds no encoder weights: loading it would pair the
+    // fine-tuned head with the pretrained checkpoint.
+    return Status::FailedPrecondition(
+        "cannot save a fully fine-tuned classifier: its bundle would not "
+        "hold the fine-tuned encoder");
+  }
   return pipeline::SaveFittedBundle(prefix, adapter_.get(),
                                     config_.adapter_options, *head_, stats_);
 }
@@ -246,6 +261,7 @@ Status TsfmClassifier::Load(const std::string& prefix, int64_t num_classes) {
   head_ = std::move(bundle.head);
   stats_ = std::move(bundle.stats);
   num_classes_ = num_classes;
+  fitted_model_ = model_;
   TSFM_RETURN_IF_ERROR(RefreshSession());
   fitted_ = true;
   last_result_ = FineTuneResult{};

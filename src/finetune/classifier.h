@@ -75,6 +75,8 @@ class TsfmClassifier {
   /// Path the last report was written to; empty when no report directory
   /// was configured (config or TSFM_RUN_REPORT).
   const std::string& last_report_path() const { return last_report_path_; }
+  /// The pretrained encoder. Fit never changes it: full fine-tuning trains
+  /// a copy, which only that Fit's session reads.
   const models::FoundationModel& model() const { return *model_; }
   /// Null if the pipeline was configured without an adapter.
   const core::Adapter* adapter() const { return adapter_.get(); }
@@ -92,7 +94,9 @@ class TsfmClassifier {
   /// via the pipeline registry's artifact naming: `<prefix>.adapter` when an
   /// adapter is configured, `<prefix>.head`, `<prefix>.stats`). The
   /// foundation-model weights are NOT duplicated; they live in the
-  /// checkpoint referenced by the config. Requires fitted().
+  /// checkpoint referenced by the config. Requires fitted(), and refuses
+  /// (FailedPrecondition) after a full fine-tuning Fit, whose trained
+  /// encoder the bundle cannot hold.
   Status Save(const std::string& prefix) const;
 
   /// Restores state written by `Save` into a classifier created with the
@@ -107,7 +111,10 @@ class TsfmClassifier {
   Status RefreshSession();
 
   ClassifierConfig config_;
-  std::shared_ptr<models::FoundationModel> model_;
+  std::shared_ptr<models::FoundationModel> model_;  // pretrained
+  // The encoder the current session reads: `model_`, or the copy a full
+  // fine-tuning Fit trained.
+  std::shared_ptr<models::FoundationModel> fitted_model_;
   std::shared_ptr<core::Adapter> adapter_;
   std::shared_ptr<models::ClassificationHead> head_;
   data::ChannelStats stats_;

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -13,20 +14,29 @@ namespace tsfm::io {
 
 namespace {
 
-// Table-driven CRC-32, generated once at first use (reflected 0xEDB88320).
-const std::array<uint32_t, 256>& CrcTable() {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
+// Slicing-by-8 CRC-32 tables (reflected 0xEDB88320), generated once at
+// first use. Row 0 is the classic bytewise table; row s advances row s-1
+// by one more zero byte, so one step folds 8 input bytes through 8 lookups.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+const CrcTables& CrcTable() {
+  static const CrcTables tables = [] {
+    CrcTables t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (size_t s = 1; s < t.size(); ++s) {
+        t[s][i] = (t[s - 1][i] >> 8) ^ t[0][t[s - 1][i] & 0xFFu];
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
 }
 
 constexpr size_t kHeaderBytes = 8 + 4 + 4 + 8;
@@ -47,11 +57,22 @@ T ReadRaw(const char* p) {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t len, uint32_t crc) {
-  const auto& table = CrcTable();
+  // The 8-byte step reads its words in memory order.
+  static_assert(std::endian::native == std::endian::little);
+  const CrcTables& t = CrcTable();
   const auto* p = static_cast<const unsigned char*>(data);
   uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    uint32_t lo, hi;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= c;
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) {
+    c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -35,7 +35,9 @@ class FoundationModel : public nn::Module {
   /// channels are flattened into the batch (univariate processing), token
   /// embeddings are mean-pooled over patches, then over channels.
   /// Differentiable w.r.t. the input, so learnable adapters (lcomb) can be
-  /// trained end-to-end through the frozen or unfrozen encoder.
+  /// trained end-to-end through the frozen or unfrozen encoder. Under
+  /// no-grad in eval mode the B*D series are encoded in fixed chunks inside
+  /// one ParallelFor; the output bits are the same either way.
   ag::Var EncodeChannels(const ag::Var& x, const nn::ForwardContext& ctx) const;
 
   /// Runs one self-supervised pretraining pass appropriate to the model

@@ -28,6 +28,11 @@ Result<std::shared_ptr<FoundationModel>> LoadOrPretrain(
     const PretrainOptions& options, const std::string& cache_path,
     uint64_t init_seed = 1234);
 
+/// A new model of `kind` holding a copy of `source`'s weights, so training
+/// the copy leaves `source` (and every session reading it) untouched.
+std::shared_ptr<FoundationModel> CopyModel(ModelKind kind,
+                                           const FoundationModel& source);
+
 }  // namespace tsfm::models
 
 #endif  // TSFM_MODELS_PRETRAINED_H_

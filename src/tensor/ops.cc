@@ -477,10 +477,19 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   om.matmul_calls->Add(1);
   om.matmul_flops->Add(static_cast<uint64_t>(2 * nbatch * m * k * n));
 
+  // A 2-D `b` is one (k, n) matrix shared by every batch entry, so a's
+  // leading dims fold into rows: one (nbatch·m, k) x (k, n) product on full
+  // register tiles (every Linear, every backward grad x Wᵀ) instead of a
+  // kMr tile plus an edge tile per batch entry. Each element still sums its
+  // k products in ascending order, and full and edge tiles round alike, so
+  // the fold changes no bits.
+  const bool fold = b.ndim() == 2;
+  const int64_t mats = fold ? 1 : nbatch;
+  const int64_t rows = fold ? nbatch * m : m;
   const auto sa = BroadcastStrides(a_batch, batch);
   const auto sb = BroadcastStrides(b_batch, batch);
   const auto sbatch = RowMajorStrides(batch);
-  const int64_t nd = static_cast<int64_t>(batch.size());
+  const int64_t nd = fold ? 0 : static_cast<int64_t>(batch.size());
 
   const float* pa0 = a_dense.data();
   const float* pb0 = b_dense.data();
@@ -490,10 +499,10 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   // so small matmuls stay inline. Tasks write disjoint C row ranges, and the
   // kernel's per-element accumulation order is fixed, so the result is
   // bit-identical for every thread count.
-  const int64_t row_blocks = (m + kRowsPerBlock - 1) / kRowsPerBlock;
-  const int64_t total_blocks = nbatch * row_blocks;
+  const int64_t row_blocks = (rows + kRowsPerBlock - 1) / kRowsPerBlock;
+  const int64_t total_blocks = mats * row_blocks;
   const int64_t block_flops =
-      2 * std::min(m, kRowsPerBlock) * std::max<int64_t>(k, 1) *
+      2 * std::min(rows, kRowsPerBlock) * std::max<int64_t>(k, 1) *
       std::max<int64_t>(n, 1);
   const int64_t grain =
       std::max<int64_t>(1, (1 << 20) / std::max<int64_t>(block_flops, 1));
@@ -509,11 +518,11 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
             ia += idx * sa[d];
             ib += idx * sb[d];
           }
-          const float* pa = pa0 + ia * m * k;
+          const float* pa = pa0 + ia * rows * k;
           const float* pb = pb0 + ib * k * n;
-          float* po = po0 + batch_idx * m * n;
+          float* po = po0 + batch_idx * rows * n;
           const int64_t r0 = block * kRowsPerBlock;
-          const int64_t r1 = std::min(m, r0 + kRowsPerBlock);
+          const int64_t r1 = std::min(rows, r0 + kRowsPerBlock);
           MatMulRowRange(pa, pb, po, r0, r1, k, n);
         }
       });

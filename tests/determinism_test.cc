@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -103,22 +104,45 @@ TEST_F(DeterminismTest, PcaFitAndTransform) {
   ExpectBitIdentical(fit_transform, "PCA fit+transform");
 }
 
-// The whole no-grad eval forward of both bench-scale encoders: patch embed,
+// The whole eval forward of both bench-scale encoders: patch embed,
 // attention (batched matmul, softmax), layer norm, GELU MLP and the two
-// mean-pools must compose into a thread-count-independent result.
+// mean-pools must compose into a thread-count-independent result. Under
+// no-grad the series are encoded in fixed chunks; with grad on they go
+// through every op at once. Both paths must give the same bits, for series
+// counts below, at and off a chunk multiple.
 TEST_F(DeterminismTest, EncoderForward) {
   Rng rng(13);
   models::MomentModel moment(models::MomentSmallConfig(), &rng);
   models::VitModel vit(models::VitSmallConfig(), &rng);
-  Tensor x = Tensor::RandN({4, 64, 8}, &rng);
+  const models::FoundationModel* const encoders[] = {&moment, &vit};
   const nn::ForwardContext eval{/*training=*/false, /*rng=*/nullptr};
-  ag::NoGradGuard guard;
-  ExpectBitIdentical(
-      [&] { return moment.EncodeChannels(ag::Constant(x), eval).value(); },
-      "MOMENT encoder forward");
-  ExpectBitIdentical(
-      [&] { return vit.EncodeChannels(ag::Constant(x), eval).value(); },
-      "ViT encoder forward");
+  // (B, D) pairs: B*D = 8, 32, 37, 135, 200.
+  const int64_t shapes[][2] = {{1, 8}, {4, 8}, {1, 37}, {5, 27}, {1, 200}};
+  for (const auto& [b, d] : shapes) {
+    const Tensor x = Tensor::RandN({b, 64, d}, &rng);
+    for (const models::FoundationModel* model : encoders) {
+      const std::string what = model->config().name + " B*D=" +
+                               std::to_string(b * d);
+      runtime::SetNumThreads(1);
+      const Tensor unchunked =
+          model->EncodeChannels(ag::Constant(x), eval).value();
+      for (int threads : kThreadCounts) {
+        runtime::SetNumThreads(threads);
+        Tensor chunked;
+        {
+          ag::NoGradGuard guard;
+          chunked = model->EncodeChannels(ag::Constant(x), eval).value();
+        }
+        ASSERT_EQ(chunked.shape(), unchunked.shape()) << what;
+        EXPECT_EQ(std::memcmp(chunked.data(), unchunked.data(),
+                              sizeof(float) *
+                                  static_cast<size_t>(chunked.numel())),
+                  0)
+            << what << " no-grad differs from grad mode at " << threads
+            << " threads";
+      }
+    }
+  }
 }
 
 // A short lcomb joint fit: every backward closure the encoder, adapter and

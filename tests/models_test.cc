@@ -5,6 +5,8 @@
 #include "models/moment.h"
 #include "models/pretrained.h"
 #include "models/vit.h"
+#include "obs/metrics.h"
+#include "runtime/thread_pool.h"
 #include "tensor/ops.h"
 
 namespace tsfm {
@@ -81,6 +83,33 @@ TEST(MomentTest, GradFlowsToInput) {
   ag::Var emb = model.EncodeChannels(x, EvalCtx());
   ag::SumAll(ag::Square(emb)).Backward();
   EXPECT_GT(Norm(x.grad()), 0.0f);
+}
+
+// A no-grad forward of a wide request fans out to the pool once: the
+// chunks of series share one ParallelFor, and every op inside a chunk runs
+// inline on its thread. Fan-outs are ParallelFor calls that did not run
+// inline.
+TEST(MomentTest, NoGradForwardFansOutOnce) {
+  Rng rng(11);
+  MomentModel model(models::MomentSmallConfig(), &rng);
+  const Tensor x = Tensor::RandN({1, 64, 200}, &rng);
+  const int saved = runtime::NumThreads();
+  runtime::SetNumThreads(2);
+  auto& registry = obs::Registry::Instance();
+  const obs::Counter* calls =
+      registry.GetCounter("runtime.parallel_for.calls");
+  const obs::Counter* inline_calls =
+      registry.GetCounter("runtime.parallel_for.inline");
+  const uint64_t calls0 = calls->value();
+  const uint64_t inline0 = inline_calls->value();
+  {
+    ag::NoGradGuard guard;
+    model.EncodeChannels(ag::Constant(x), EvalCtx());
+  }
+  const uint64_t fanned = (calls->value() - calls0) -
+                          (inline_calls->value() - inline0);
+  runtime::SetNumThreads(saved);
+  EXPECT_EQ(fanned, 1u);
 }
 
 TEST(MomentTest, PretrainReducesReconstructionLoss) {

@@ -192,6 +192,106 @@ TEST(SessionTest, ServesWhileClassifierRefitsLcomb) {
   EXPECT_EQ(mismatches, 0);
 }
 
+// A classifier that fully fine-tunes a tiny MOMENT for one joint epoch.
+Result<TsfmClassifier> FullFineTuneClassifier() {
+  ClassifierConfig config;
+  config.model_kind = models::ModelKind::kMoment;
+  config.model_config = models::MomentTestConfig();
+  config.pretrain.corpus_size = 48;
+  config.pretrain.series_length = 32;
+  config.pretrain.epochs = 1;
+  config.adapter = core::AdapterKind::kPca;
+  config.adapter_options.out_channels = 3;
+  config.finetune.strategy = finetune::Strategy::kFullFineTune;
+  config.finetune.joint_epochs = 1;
+  return TsfmClassifier::Create(config);
+}
+
+bool SameBytes(const Tensor& a, const Tensor& b) {
+  const Tensor ca = a.Contiguous();
+  const Tensor cb = b.Contiguous();
+  return ca.shape() == cb.shape() &&
+         std::memcmp(ca.data(), cb.data(),
+                     static_cast<size_t>(ca.numel()) * sizeof(float)) == 0;
+}
+
+Tensor HeadBytes(const pipeline::InferenceSession& session) {
+  std::vector<Tensor> params;
+  for (const auto& p : session.head().Parameters()) {
+    params.push_back(p.value().Reshape({-1}));
+  }
+  return Concat(params, 0);
+}
+
+// Full fine-tuning trains the encoder, so a refit trains its own copy of
+// the pretrained weights. A session handed out earlier keeps its logits bit
+// for bit, also while it predicts during the refit (under TSan, a race on
+// the encoder's weights otherwise).
+TEST(SessionTest, FullFineTuneRefitLeavesEarlierSessionAlone) {
+  auto pair = Problem(28);
+  auto clf = FullFineTuneClassifier();
+  ASSERT_TRUE(clf.ok()) << clf.status().ToString();
+  ASSERT_TRUE(clf->Fit(pair.train, &pair.test).ok());
+  std::shared_ptr<const pipeline::InferenceSession> session = clf->session();
+  const auto before = session->Logits(pair.test.x);
+  ASSERT_TRUE(before.ok());
+
+  std::atomic<bool> serving{false};
+  std::atomic<bool> refitting{true};
+  int rounds = 0;
+  int mismatches = 0;
+  std::thread server([&] {
+    do {
+      auto logits = session->Logits(pair.test.x);
+      if (!logits.ok() || !SameBytes(*logits, *before)) ++mismatches;
+      ++rounds;
+      serving.store(true);
+    } while (refitting.load());
+  });
+  while (!serving.load()) std::this_thread::yield();
+  const Status refit = clf->Fit(pair.train, &pair.test);
+  refitting.store(false);
+  server.join();
+
+  ASSERT_TRUE(refit.ok()) << refit.ToString();
+  EXPECT_NE(clf->session(), session);
+  EXPECT_GT(rounds, 1);
+  EXPECT_EQ(mismatches, 0);
+  const auto after = session->Logits(pair.test.x);
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE(SameBytes(*after, *before));
+}
+
+// Each full fine-tuning Fit starts from the pretrained weights, so two fits
+// with one seed train the same head.
+TEST(SessionTest, FullFineTuneFitsAreRepeatable) {
+  auto pair = Problem(29);
+  auto clf = FullFineTuneClassifier();
+  ASSERT_TRUE(clf.ok()) << clf.status().ToString();
+  ASSERT_TRUE(clf->Fit(pair.train, &pair.test).ok());
+  const Tensor first = HeadBytes(*clf->session());
+  ASSERT_TRUE(clf->Fit(pair.train, &pair.test).ok());
+  EXPECT_TRUE(SameBytes(HeadBytes(*clf->session()), first));
+}
+
+// A fitted bundle holds no encoder weights, so saving a fully fine-tuned
+// classifier would pair its head with the pretrained checkpoint on load.
+TEST(SessionTest, SaveRefusesFullyFineTunedClassifier) {
+  auto pair = Problem(30);
+  auto clf = FullFineTuneClassifier();
+  ASSERT_TRUE(clf.ok()) << clf.status().ToString();
+  ASSERT_TRUE(clf->Fit(pair.train, &pair.test).ok());
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "tsfm_session_full_ft";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string prefix = (dir / "bundle").string();
+  const Status saved = clf->Save(prefix);
+  EXPECT_EQ(saved.code(), StatusCode::kFailedPrecondition) << saved.ToString();
+  EXPECT_FALSE(std::filesystem::exists(prefix + ".head"));
+  std::filesystem::remove_all(dir);
+}
+
 // Registry hot-swap under concurrent readers: Get always returns a usable
 // session (old or new, never torn), and in-flight predictions on the
 // swapped-out session finish correctly.

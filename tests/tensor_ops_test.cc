@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -127,6 +128,46 @@ TEST(MatMulTest, BatchedEqualBatches) {
   for (int64_t i = 0; i < 2; ++i) {
     for (int64_t j = 0; j < 2; ++j) {
       EXPECT_NEAR(c.at({2, i, j}), c2.at({i, j}), 1e-5f);
+    }
+  }
+}
+
+// A 2-D right operand folds a's batch dims into rows, so register tiles
+// straddle batch entries. Every entry must still match its own 2-D product
+// bit for bit: m off the 6-row tile, n below and off every column-tile
+// width (8, 16, 32), a permuted (non-contiguous) left operand, and a NaN
+// row that must poison its own output row only.
+TEST(MatMulTest, FoldedBatchMatchesPerSliceProducts) {
+  Rng rng(5);
+  const int64_t batch = 5;
+  const int64_t k = 19;
+  for (int64_t m : {2, 7, 8, 13}) {
+    for (int64_t n : {3, 21, 45, 64}) {
+      for (bool permuted : {false, true}) {
+        Tensor src = permuted ? Tensor::RandN({batch, k, m}, &rng)
+                              : Tensor::RandN({batch, m, k}, &rng);
+        for (int64_t i = 0; i < k; ++i) {  // row 1 of batch entry 2
+          (permuted ? src.at({2, i, 1}) : src.at({2, 1, i})) =
+              std::numeric_limits<float>::quiet_NaN();
+        }
+        const Tensor a = permuted ? Permute(src, {0, 2, 1}) : src;
+        ASSERT_EQ(a.is_contiguous(), !permuted);
+        const Tensor b = Tensor::RandN({k, n}, &rng);
+        const Tensor c = MatMul(a, b);
+        ASSERT_EQ(c.shape(), (Shape{batch, m, n}));
+        for (int64_t s = 0; s < batch; ++s) {
+          const Tensor as = Slice(a, 0, s, s + 1).Contiguous().Reshape({m, k});
+          const Tensor want = MatMul(as, b);
+          const Tensor got = Slice(c, 0, s, s + 1).Contiguous();
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                sizeof(float) * static_cast<size_t>(m * n)),
+                    0)
+              << "m=" << m << " n=" << n << " permuted=" << permuted
+              << " batch entry " << s;
+        }
+        EXPECT_TRUE(std::isnan(c.at({2, 1, 0})));
+        EXPECT_FALSE(std::isnan(c.at({2, 0, 0})));
+      }
     }
   }
 }
