@@ -241,10 +241,10 @@ Result<RunRecord> ExperimentRunner::Run(const RunSpec& spec) {
         {"batch_size", std::to_string(ft.batch_size)},
         {"seed", std::to_string(static_cast<int64_t>(ft.seed))},
     };
-    ft.on_epoch = [&report](const finetune::EpochProgress& p) {
+    ft.on_epoch = [&report](const pipeline::EpochProgress& p) {
       obs::RunReportEpoch e;
       e.epoch = p.epoch;
-      e.phase = finetune::PhaseName(p.phase);
+      e.phase = pipeline::PhaseName(p.phase);
       e.loss = p.loss;
       e.accuracy = p.accuracy;
       e.seconds = p.seconds;
@@ -269,9 +269,7 @@ Result<RunRecord> ExperimentRunner::Run(const RunSpec& spec) {
     report.mem_pool_hits = static_cast<double>(mem.pool_hits);
     report.mem_heap_allocs = static_cast<double>(mem.heap_allocs);
     report.embed_mode = measured->embed_mode;
-    for (const auto& t : measured->stage_timings) {
-      report.stages.push_back(obs::RunReportStage{t.stage, t.seconds});
-    }
+    report.stages = measured->stage_timings;
     report.train_accuracy = measured->train_accuracy;
     report.test_accuracy = measured->test_accuracy;
     report.final_loss = measured->final_loss;

@@ -94,7 +94,6 @@ Status TsfmClassifier::RefreshSession() {
   pipeline::SessionOptions session_options;
   session_options.normalize = config_.finetune.normalize;
   session_options.batch_size = config_.finetune.batch_size;
-  session_options.seed = config_.finetune.seed;
   TSFM_ASSIGN_OR_RETURN(
       session_, pipeline::InferenceSession::Create(fitted_model_, adapter_,
                                                    head_, stats_, num_classes_,
@@ -159,10 +158,11 @@ Status TsfmClassifier::Fit(const data::TimeSeriesDataset& train,
 
   FineTuneOptions run_options = config_.finetune;
   const auto user_on_epoch = run_options.on_epoch;
-  run_options.on_epoch = [&report, &user_on_epoch](const EpochProgress& p) {
+  run_options.on_epoch = [&report,
+                          &user_on_epoch](const pipeline::EpochProgress& p) {
     obs::RunReportEpoch e;
     e.epoch = p.epoch;
-    e.phase = PhaseName(p.phase);
+    e.phase = pipeline::PhaseName(p.phase);
     e.loss = p.loss;
     e.accuracy = p.accuracy;
     e.seconds = p.seconds;
@@ -191,9 +191,7 @@ Status TsfmClassifier::Fit(const data::TimeSeriesDataset& train,
   report.adapter_fit_seconds = last_result_.adapter_fit_seconds;
   report.train_seconds = last_result_.train_seconds;
   report.total_seconds = last_result_.total_seconds;
-  for (const pipeline::StageTiming& t : last_result_.stage_timings) {
-    report.stages.push_back(obs::RunReportStage{t.stage, t.seconds});
-  }
+  report.stages = last_result_.stage_timings;
   FillEstimate(config_, adapter_.get(), train, eval_split, &report);
   // Device-budget semantics: what had to fit is baseline (weights, cached
   // data) plus the run's peak on top of it.

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -9,7 +10,7 @@
 #include "obs/budget.h"
 #include "obs/trace.h"
 #include "optim/optim.h"
-#include "pipeline/pipeline.h"
+#include "pipeline/stages.h"
 #include "runtime/thread_pool.h"
 #include "tensor/ops.h"
 
@@ -37,13 +38,41 @@ int64_t CountCorrect(const Tensor& logits, const std::vector<int64_t>& yb) {
   return correct;
 }
 
-// Non-owning shared_ptr over a caller-owned object, so the Stage wrappers
-// (which hold shared ownership) can compose state the FineTune API still
-// receives as raw pointers. The stages live only within this call.
+// Non-owning shared_ptr over a caller-owned object, so the stages (which
+// hold shared ownership) can wrap state the FineTune API receives as raw
+// pointers. The stages live only within this call.
 template <typename T>
 std::shared_ptr<T> Unowned(T* ptr) {
   return std::shared_ptr<T>(ptr, [](T*) {});
 }
+
+// One stage pass: a trace span named after the stage, and the pass's
+// wall-clock added to that stage's row of `timings` when the scope ends.
+// Rows keep first-run order, so a stage's train and test passes share one.
+// `stage` must be a string literal: the trace keeps the pointer.
+class StagePass {
+ public:
+  StagePass(const char* stage, std::vector<obs::RunReportStage>* timings)
+      : span_(stage), stage_(stage), timings_(timings) {}
+  ~StagePass() {
+    const double seconds = SecondsSince(start_);
+    for (obs::RunReportStage& row : *timings_) {
+      if (row.stage == stage_) {
+        row.seconds += seconds;
+        return;
+      }
+    }
+    timings_->push_back(obs::RunReportStage{stage_, seconds});
+  }
+  StagePass(const StagePass&) = delete;
+  StagePass& operator=(const StagePass&) = delete;
+
+ private:
+  obs::TraceSpan span_;
+  const char* stage_;
+  std::vector<obs::RunReportStage>* timings_;
+  Clock::time_point start_ = Clock::now();
+};
 
 // Clears `requires_grad` on the given parameter leaves for its lifetime, so
 // backward stops at their weights while activation gradients still flow
@@ -79,19 +108,6 @@ const char* StrategyName(Strategy strategy) {
   return "unknown";
 }
 
-Tensor EmbedDataset(const models::FoundationModel& model, const Tensor& x,
-                    int64_t batch_size, uint64_t seed) {
-  return pipeline::EmbedDataset(model, x, batch_size, seed);
-}
-
-Tensor EmbedDatasetCached(const models::FoundationModel& model,
-                          const Tensor& x, int64_t batch_size, uint64_t seed,
-                          const std::string& salt, std::string* mode,
-                          const data::ChannelStats* stats) {
-  return pipeline::EmbedDatasetCached(model, x, batch_size, seed, salt, stats,
-                                      mode);
-}
-
 Result<FineTuneResult> FineTune(models::FoundationModel* model,
                                 core::Adapter* adapter,
                                 const data::TimeSeriesDataset& train,
@@ -124,11 +140,10 @@ Result<FineTuneResult> FineTuneWithHead(models::FoundationModel* model,
   const auto t_start = Clock::now();
   FineTuneResult result;
 
-  auto norm = options.normalize ? std::make_shared<pipeline::NormalizeStage>()
-                                : nullptr;
-  auto adapt = adapter != nullptr
-                   ? std::make_shared<pipeline::AdaptStage>(Unowned(adapter))
-                   : nullptr;
+  pipeline::NormalizeStage norm;
+  std::optional<pipeline::AdaptStage> adapt;
+  if (adapter != nullptr) adapt.emplace(Unowned(adapter));
+  std::vector<obs::RunReportStage>* timings = &result.stage_timings;
 
   Rng rng(options.seed ^ 0x51A7E5ULL);
   (void)rng.Fork();  // head-init stream consumed by FineTune's wrapper
@@ -139,50 +154,57 @@ Result<FineTuneResult> FineTuneWithHead(models::FoundationModel* model,
 
   pipeline::ExecutionContext ctx;
   ctx.batch_size = options.batch_size;
-  ctx.seed = options.seed;
-  ctx.timings = &result.stage_timings;
   ctx.rng = &rng;
   ctx.on_epoch = options.on_epoch;
 
   if (!encoder_in_loop) {
-    // Embed-once fast path: static adapter (or none) + frozen encoder. The
-    // whole path is one pipeline — normalize -> adapt -> embed -> head —
-    // fitted stage by stage on the training split, then applied as a fitted
-    // chain to the test split.
-    auto embed = std::make_shared<pipeline::EmbedStage>(
-        Unowned<const models::FoundationModel>(model));
-    auto head_stage = std::make_shared<pipeline::HeadStage>(
+    // Embed-once path: static adapter (or none) + frozen encoder. The train
+    // split runs normalize -> adapt -> embed -> head, each stage fitted on
+    // what the stages before it produced and then applied; the test split
+    // then runs the fitted stages.
+    pipeline::EmbedStage embed(Unowned<const models::FoundationModel>(model));
+    pipeline::HeadStage head(
         Unowned(head_ptr), model->embedding_dim(), train.num_classes,
         pipeline::HeadTrainOptions{options.head_epochs, options.head_lr,
                                    options.weight_decay});
-    pipeline::Pipeline pipe;
-    if (norm != nullptr) pipe.Add(norm);
-    if (adapt != nullptr) pipe.Add(adapt);
-    pipe.Add(embed).Add(head_stage);
-
     ctx.allow_embed_cache = true;
     ctx.cache_salt = std::string(StrategyName(options.strategy)) + "/" +
                      (adapter != nullptr ? adapter->name() : "no_adapter");
-    ctx.cache_stats = norm != nullptr ? &norm->stats() : nullptr;
+    ctx.cache_stats = options.normalize ? &norm.stats() : nullptr;
+
+    // Logits of one split; `fit` fits every stage first. `embed_mode`
+    // receives how that split's embed pass ran.
+    auto run = [&](const data::TimeSeriesDataset& ds, bool fit,
+                   std::string* embed_mode) -> Result<Tensor> {
+      pipeline::ExecutionContext split_ctx = ctx;
+      split_ctx.embed_mode = embed_mode;
+      Tensor x = ds.x;
+      auto pass = [&](const char* name, auto& stage) -> Status {
+        StagePass timed(name, timings);
+        if (fit) TSFM_RETURN_IF_ERROR(stage.Fit(x, ds.y, split_ctx));
+        TSFM_ASSIGN_OR_RETURN(x, stage.Apply(x, split_ctx));
+        return Status::OK();
+      };
+      if (options.normalize) TSFM_RETURN_IF_ERROR(pass("normalize", norm));
+      if (adapt.has_value()) TSFM_RETURN_IF_ERROR(pass("adapt", *adapt));
+      TSFM_RETURN_IF_ERROR(pass("embed", embed));
+      TSFM_RETURN_IF_ERROR(pass("head", head));
+      return x;
+    };
 
     std::string train_mode = result.embed_mode;
     std::string test_mode = result.embed_mode;
     const auto t_train = Clock::now();
-    pipeline::ExecutionContext train_ctx = ctx;
-    train_ctx.seed = options.seed + 1;
-    train_ctx.embed_mode = &train_mode;
     TSFM_ASSIGN_OR_RETURN(Tensor train_logits,
-                          pipe.FitTransform(train.x, train.y, train_ctx));
-    result.final_loss = head_stage->final_loss();
+                          run(train, /*fit=*/true, &train_mode));
+    result.final_loss = head.final_loss();
     result.adapter_fit_seconds =
-        adapt != nullptr ? adapt->last_fit_seconds() : 0.0;
+        adapt.has_value() ? adapt->last_fit_seconds() : 0.0;
     result.train_seconds = SecondsSince(t_train);
     result.train_accuracy = data::Accuracy(Predict(train_logits), train);
 
-    pipeline::ExecutionContext test_ctx = ctx;
-    test_ctx.seed = options.seed + 2;
-    test_ctx.embed_mode = &test_mode;
-    TSFM_ASSIGN_OR_RETURN(Tensor test_logits, pipe.Apply(test.x, test_ctx));
+    TSFM_ASSIGN_OR_RETURN(Tensor test_logits,
+                          run(test, /*fit=*/false, &test_mode));
     result.test_accuracy = data::Accuracy(Predict(test_logits), test);
     // "cache" only when the encoder truly never ran for either split.
     result.embed_mode = (train_mode == "cache" && test_mode == "cache")
@@ -193,25 +215,25 @@ Result<FineTuneResult> FineTuneWithHead(models::FoundationModel* model,
   }
 
   // Joint loop: encoder in the training graph (lcomb and/or full FT). The
-  // prologue stages (normalize, adapter fit) still run as pipeline stages —
-  // same stats, same metrics, same timing sink — but each step then drives
-  // the encoder through the tape, which no embed-once stage can do.
+  // prologue runs the normalize and adapter-fit stages under the same spans
+  // and timing rows as the embed-once path; each step then drives the
+  // encoder through the tape.
   models::ClassificationHead& head = *head_ptr;
   data::TimeSeriesDataset train_n = train;
   data::TimeSeriesDataset test_n = test;
-  if (norm != nullptr) {
-    pipeline::Pipeline prep;
-    prep.Add(norm);
-    TSFM_ASSIGN_OR_RETURN(train_n.x, prep.FitTransform(train.x, train.y, ctx));
-    TSFM_ASSIGN_OR_RETURN(test_n.x, prep.Apply(test.x, ctx));
+  if (options.normalize) {
+    {
+      StagePass timed("normalize", timings);
+      TSFM_RETURN_IF_ERROR(norm.Fit(train.x, train.y, ctx));
+      TSFM_ASSIGN_OR_RETURN(train_n.x, norm.Apply(train.x, ctx));
+    }
+    StagePass timed("normalize", timings);
+    TSFM_ASSIGN_OR_RETURN(test_n.x, norm.Apply(test.x, ctx));
   }
-  if (adapt != nullptr) {
-    obs::TraceSpan span(adapt->name());
-    const auto t_adapter = Clock::now();
+  if (adapt.has_value()) {
+    StagePass timed("adapt", timings);
     TSFM_RETURN_IF_ERROR(adapt->Fit(train_n.x, train_n.y, ctx));
     result.adapter_fit_seconds = adapt->last_fit_seconds();
-    pipeline::AccumulateStageTiming(ctx.timings, adapt->name(),
-                                    SecondsSince(t_adapter));
   }
 
   // Two parameter groups: the head keeps its (large) head_lr while the
@@ -291,8 +313,7 @@ Result<FineTuneResult> FineTuneWithHead(models::FoundationModel* model,
     runtime::ParallelFor(0, num_batches, /*grain=*/1, [&](int64_t lo,
                                                           int64_t hi) {
       ag::NoGradGuard guard;
-      Rng eval_rng(options.seed + 99);
-      nn::ForwardContext fwd{/*training=*/false, &eval_rng};
+      const nn::ForwardContext fwd{/*training=*/false, /*rng=*/nullptr};
       for (int64_t b = lo; b < hi; ++b) {
         const int64_t start = b * bs;
         const int64_t end = std::min(ds.size(), start + bs);

@@ -2,15 +2,15 @@
 #define TSFM_FINETUNE_FINETUNE_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "core/adapter.h"
 #include "data/dataset.h"
 #include "models/foundation_model.h"
 #include "models/head.h"
-#include "pipeline/stage.h"
-#include "pipeline/stages.h"
+#include "obs/run_report.h"
+#include "pipeline/progress.h"
 
 namespace tsfm::finetune {
 
@@ -24,14 +24,6 @@ namespace tsfm::finetune {
 enum class Strategy { kHeadOnly, kAdapterPlusHead, kFullFineTune };
 
 const char* StrategyName(Strategy strategy);
-
-/// Epoch progress now lives in the pipeline layer (it is shared by every
-/// training loop); these aliases keep the historical finetune:: spellings
-/// working. `EpochProgress::phase` is a pipeline::Phase enum — use
-/// PhaseName(phase) where the old code compared the raw string.
-using pipeline::EpochProgress;
-using pipeline::Phase;
-using pipeline::PhaseName;
 
 /// Hyper-parameters of one fine-tuning run.
 struct FineTuneOptions {
@@ -70,9 +62,10 @@ struct FineTuneResult {
   /// encoder never executed. Surfaces in the run report's "execution"
   /// section.
   std::string embed_mode = "eager";
-  /// Wall-clock per pipeline stage (normalize/adapt/embed/head), aggregated
-  /// over the run's passes. Surfaces in the run report's "stages" section.
-  std::vector<pipeline::StageTiming> stage_timings;
+  /// Wall-clock per stage (normalize/adapt/embed/head) in first-run order,
+  /// each summed over the run's train and test passes. Becomes the run
+  /// report's "stages" section.
+  std::vector<obs::RunReportStage> stage_timings;
 };
 
 /// Runs one fine-tuning experiment.
@@ -106,29 +99,6 @@ Result<FineTuneResult> FineTuneWithHead(models::FoundationModel* model,
                                         const data::TimeSeriesDataset& train,
                                         const data::TimeSeriesDataset& test,
                                         const FineTuneOptions& options);
-
-/// Embeds every sample of `ds` (already adapter-transformed) with the frozen
-/// encoder in `batch_size` chunks, without building a tape. Returns (N, E).
-/// Thin forwarder to pipeline::EmbedDataset (the implementation moved into
-/// the pipeline layer with the Stage refactor).
-Tensor EmbedDataset(const models::FoundationModel& model, const Tensor& x,
-                    int64_t batch_size, uint64_t seed);
-
-/// `EmbedDataset` behind the content-addressed embedding cache
-/// (io::EmbedCache*). When a cache directory is configured (TSFM_CACHE_DIR
-/// or the CLI's --cache-dir), the key hashes the model's parameters, the
-/// adapter-transformed input tensor, the batch size, `salt` (strategy +
-/// adapter tag from the caller) and — when `stats` is non-null — the
-/// normalization statistics the input was produced with; a hit skips the
-/// encoder entirely and is bit-identical to the miss path. With the cache
-/// disabled this is exactly `EmbedDataset`. Results of budget-aborted embed
-/// passes are never stored. When `mode` is non-null it receives how the
-/// embedding was produced: "cache" on a hit, otherwise "eager". Thin
-/// forwarder to pipeline::EmbedDatasetCached.
-Tensor EmbedDatasetCached(const models::FoundationModel& model,
-                          const Tensor& x, int64_t batch_size, uint64_t seed,
-                          const std::string& salt, std::string* mode = nullptr,
-                          const data::ChannelStats* stats = nullptr);
 
 }  // namespace tsfm::finetune
 

@@ -100,19 +100,6 @@ std::shared_ptr<const InferenceSession> Registry::Get(
   return it != sessions_.end() ? it->second : nullptr;
 }
 
-bool Registry::Remove(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sessions_.erase(name) > 0;
-}
-
-std::vector<std::string> Registry::Names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(sessions_.size());
-  for (const auto& [name, _] : sessions_) names.push_back(name);
-  return names;
-}
-
 Result<std::shared_ptr<const InferenceSession>> Registry::LoadAndInstall(
     const std::string& name, const std::string& prefix,
     std::shared_ptr<const models::FoundationModel> model,

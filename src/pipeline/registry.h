@@ -6,7 +6,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "core/adapter.h"
 #include "data/dataset.h"
@@ -78,13 +77,6 @@ class Registry {
 
   /// The session under `name`, or null when absent.
   std::shared_ptr<const InferenceSession> Get(const std::string& name) const;
-
-  /// Removes `name`; returns whether it existed. In-flight users of the
-  /// removed session are unaffected.
-  bool Remove(const std::string& name);
-
-  /// Installed names, sorted.
-  std::vector<std::string> Names() const;
 
   /// Loads the fitted bundle under `prefix` (see LoadFittedBundle), wraps it
   /// with `model` into an InferenceSession, and installs it under `name`.

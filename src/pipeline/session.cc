@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <sstream>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "pipeline/stages.h"
 #include "tensor/ops.h"
 
 namespace tsfm::pipeline {
@@ -33,6 +33,14 @@ SessionMetrics& Metrics() {
 }
 
 std::string Int64Str(int64_t v) { return std::to_string(v); }
+
+// Size in bytes of the adapter's serialized fitted state: exactly what a
+// Save would write.
+int64_t AdapterStateBytes(const core::Adapter& adapter) {
+  std::ostringstream os;
+  if (!adapter.SaveState(&os).ok()) return 0;
+  return static_cast<int64_t>(os.str().size());
+}
 
 }  // namespace
 
@@ -72,8 +80,8 @@ Result<std::shared_ptr<const InferenceSession>> InferenceSession::Create(
 }
 
 Result<Tensor> InferenceSession::Run(const Tensor& x, bool with_head) const {
-  if (x.ndim() != 3) {
-    return Status::InvalidArgument("session expects (N, T, D)");
+  if (x.ndim() != 3 || x.dim(0) == 0) {
+    return Status::InvalidArgument("session expects (N, T, D) with N > 0");
   }
   ag::NoGradGuard guard;
   Tensor input = x;
@@ -81,10 +89,8 @@ Result<Tensor> InferenceSession::Run(const Tensor& x, bool with_head) const {
     input = Div(Sub(x, stats_.mean), stats_.std);
   }
   const int64_t batch = std::max<int64_t>(1, options_.batch_size);
-  // Same eval stream as training-time evaluation (the forwards consume no
-  // randomness, but dropout-style layers need a context).
-  Rng eval_rng(options_.seed + 99);
-  nn::ForwardContext ctx{/*training=*/false, &eval_rng};
+  // An eval forward draws no randomness, so its context carries no Rng.
+  const nn::ForwardContext ctx{/*training=*/false, /*rng=*/nullptr};
   std::vector<Tensor> chunks;
   chunks.reserve(static_cast<size_t>((input.dim(0) + batch - 1) / batch));
   for (int64_t start = 0; start < input.dim(0); start += batch) {
@@ -100,34 +106,10 @@ Result<Tensor> InferenceSession::Run(const Tensor& x, bool with_head) const {
 
 Result<std::vector<int64_t>> InferenceSession::PredictBatch(
     const Tensor& x) const {
-  // This loop mirrors the training-side evaluation (and the classifier
-  // facade) line for line — same preprocessing, same batch split, same eval
-  // Rng — so session predictions are bit-identical to TsfmClassifier
-  // predictions for the same fitted state.
   TSFM_TRACE_SPAN("session.predict");
   const auto t_start = Clock::now();
-  if (x.ndim() != 3) {
-    return Status::InvalidArgument("PredictBatch expects (N, T, D)");
-  }
-  ag::NoGradGuard guard;
-  Tensor input = x;
-  if (options_.normalize) {
-    input = Div(Sub(x, stats_.mean), stats_.std);
-  }
-  std::vector<int64_t> predictions;
-  predictions.reserve(static_cast<size_t>(x.dim(0)));
-  const int64_t batch = std::max<int64_t>(1, options_.batch_size);
-  Rng eval_rng(options_.seed + 99);
-  nn::ForwardContext ctx{/*training=*/false, &eval_rng};
-  for (int64_t start = 0; start < input.dim(0); start += batch) {
-    const int64_t end = std::min(input.dim(0), start + batch);
-    Tensor xb = Slice(input, 0, start, end);
-    ag::Var reduced = ag::Constant(xb);
-    if (adapter_ != nullptr) reduced = adapter_->TransformVar(reduced);
-    ag::Var emb = model_->EncodeChannels(reduced, ctx);
-    ag::Var logits = head_->Forward(emb);
-    for (int64_t p : ArgMaxLast(logits.value())) predictions.push_back(p);
-  }
+  TSFM_ASSIGN_OR_RETURN(Tensor logits, Run(x, /*with_head=*/true));
+  std::vector<int64_t> predictions = ArgMaxLast(logits);
   SessionMetrics& m = Metrics();
   m.requests->Add(1);
   m.predictions->Add(x.dim(0));
@@ -159,11 +141,9 @@ Result<Tensor> InferenceSession::Embed(const Tensor& x) const {
 }
 
 std::vector<StageDescription> InferenceSession::Describe() const {
-  // Mirrors the Stage implementations' signatures without instantiating
-  // mutable stages over the session's const parts.
   std::vector<StageDescription> out;
   if (options_.normalize) {
-    out.push_back({"normalize", "(N,T,D)->(N,T,D)", true,
+    out.push_back({"normalize", "(N,T,D)->(N,T,D)",
                    (stats_.mean.numel() + stats_.std.numel()) *
                        static_cast<int64_t>(sizeof(float))});
   }
@@ -171,16 +151,14 @@ std::vector<StageDescription> InferenceSession::Describe() const {
     out.push_back({"adapt",
                    "(N,T,D)->(N,T'," + Int64Str(adapter_->output_channels()) +
                        ")",
-                   adapter_->fitted(), AdapterStateBytes(*adapter_)});
+                   AdapterStateBytes(*adapter_)});
   }
   out.push_back({"embed",
                  "(N,T,D')->(N," + Int64Str(model_->embedding_dim()) + ")",
-                 true,
                  model_->NumParameters() * static_cast<int64_t>(sizeof(float))});
   out.push_back({"head",
                  "(N," + Int64Str(model_->embedding_dim()) + ")->(N," +
                      Int64Str(num_classes_) + ")",
-                 true,
                  head_->NumParameters() * static_cast<int64_t>(sizeof(float))});
   return out;
 }

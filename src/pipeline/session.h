@@ -10,18 +10,24 @@
 #include "data/dataset.h"
 #include "models/foundation_model.h"
 #include "models/head.h"
-#include "pipeline/pipeline.h"
 
 namespace tsfm::pipeline {
 
-/// Inference-time knobs of a session. `seed` and `batch_size` reproduce the
-/// training-time evaluation exactly (same eval Rng stream, same batch
-/// split), which is what makes session predictions bit-identical to
-/// `TsfmClassifier::Predict`.
+/// Inference-time knobs of a session. `normalize` and `batch_size` match the
+/// fit's preprocessing and batch split. Each sample's output does not depend
+/// on how the batch is split, so predictions are bit-identical to
+/// `TsfmClassifier::Predict` and to the fit's own evaluation.
 struct SessionOptions {
   bool normalize = true;
   int64_t batch_size = 32;
-  uint64_t seed = 0;
+};
+
+/// One row of `InferenceSession::Describe`: what `tsfm pipeline describe`
+/// prints per stage.
+struct StageDescription {
+  std::string name;
+  std::string signature;  // "(N,T,D)->(N,T',D')"; for reading, not parsing
+  int64_t state_bytes = 0;
 };
 
 /// An immutable fitted pipeline bundle for serving: frozen encoder, fitted
@@ -31,7 +37,7 @@ struct SessionOptions {
 /// Thread-safety: `Predict` / `PredictBatch` / `Logits` / `Embed` are
 /// re-entrant — safe to call from many threads at once on one session, and
 /// bit-identical to the serial loop. Every call builds its own NoGradGuard
-/// (thread-local) and eval Rng; nothing in the session mutates after
+/// (thread-local); nothing in the session mutates after
 /// construction. Sessions are created fitted and never refit — swap in a new
 /// session (see Registry) to change models.
 class InferenceSession {
@@ -48,7 +54,8 @@ class InferenceSession {
 
   /// Class labels for a raw (N, T, D) batch. Applies exactly the
   /// training-time preprocessing (normalize with train stats, adapter
-  /// transform) before the encoder and head.
+  /// transform) before the encoder and head. Like Logits and Embed, returns
+  /// InvalidArgument for any other rank or for N = 0.
   Result<std::vector<int64_t>> PredictBatch(const Tensor& x) const;
 
   /// Label for one sample: (T, D), or (1, T, D).
@@ -61,8 +68,8 @@ class InferenceSession {
   /// included, head skipped).
   Result<Tensor> Embed(const Tensor& x) const;
 
-  /// Per-stage summary of the composed pipeline (for `pipeline describe`
-  /// and the registry surface).
+  /// One row per stage the session runs: normalize (when on), adapt (when
+  /// there is an adapter), embed and head.
   std::vector<StageDescription> Describe() const;
 
   const models::FoundationModel& model() const { return *model_; }

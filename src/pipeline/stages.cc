@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <sstream>
 #include <utility>
 
 #include "common/check.h"
@@ -36,8 +35,6 @@ int64_t CountCorrect(const Tensor& logits, const std::vector<int64_t>& yb) {
   return correct;
 }
 
-std::string Int64Str(int64_t v) { return std::to_string(v); }
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -45,16 +42,6 @@ std::string Int64Str(int64_t v) { return std::to_string(v); }
 
 NormalizeStage::NormalizeStage(data::ChannelStats stats)
     : stats_(std::move(stats)), fitted_(true) {}
-
-std::string NormalizeStage::ShapeSignature() const {
-  return "(N,T,D)->(N,T,D)";
-}
-
-int64_t NormalizeStage::FittedStateBytes() const {
-  if (!fitted_) return 0;
-  return (stats_.mean.numel() + stats_.std.numel()) *
-         static_cast<int64_t>(sizeof(float));
-}
 
 Status NormalizeStage::Fit(const Tensor& x, const std::vector<int64_t>& y,
                            const ExecutionContext& ctx) {
@@ -90,16 +77,6 @@ AdaptStage::AdaptStage(std::shared_ptr<core::Adapter> adapter)
   TSFM_CHECK(adapter_ != nullptr);
 }
 
-std::string AdaptStage::ShapeSignature() const {
-  return "(N,T,D)->(N,T'," + Int64Str(adapter_->output_channels()) + ")";
-}
-
-bool AdaptStage::fitted() const { return adapter_->fitted(); }
-
-int64_t AdaptStage::FittedStateBytes() const {
-  return AdapterStateBytes(*adapter_);
-}
-
 Status AdaptStage::Fit(const Tensor& x, const std::vector<int64_t>& y,
                        const ExecutionContext& ctx) {
   (void)ctx;
@@ -125,14 +102,6 @@ EmbedStage::EmbedStage(std::shared_ptr<const models::FoundationModel> model)
   TSFM_CHECK(model_ != nullptr);
 }
 
-std::string EmbedStage::ShapeSignature() const {
-  return "(N,T,D')->(N," + Int64Str(model_->embedding_dim()) + ")";
-}
-
-int64_t EmbedStage::FittedStateBytes() const {
-  return model_->NumParameters() * static_cast<int64_t>(sizeof(float));
-}
-
 Status EmbedStage::Fit(const Tensor& x, const std::vector<int64_t>& y,
                        const ExecutionContext& ctx) {
   // The encoder is pretrained and frozen on this path; nothing to fit.
@@ -150,11 +119,11 @@ Result<Tensor> EmbedStage::Apply(const Tensor& x,
   std::string mode = "eager";
   Tensor emb;
   if (ctx.allow_embed_cache) {
-    emb = EmbedDatasetCached(*model_, x, ctx.batch_size, ctx.seed,
-                             ctx.cache_salt, ctx.cache_stats, &mode);
+    emb = EmbedDatasetCached(*model_, x, ctx.batch_size, ctx.cache_salt,
+                             ctx.cache_stats, &mode);
   } else {
     // Per-request path: never hash the model per call.
-    emb = EmbedDataset(*model_, x, ctx.batch_size, ctx.seed);
+    emb = EmbedDataset(*model_, x, ctx.batch_size);
   }
   if (ctx.embed_mode != nullptr) *ctx.embed_mode = mode;
   // A tripped budget leaves `emb` empty; surface the diagnosis instead of
@@ -176,21 +145,18 @@ HeadStage::HeadStage(std::shared_ptr<models::ClassificationHead> head,
   TSFM_CHECK(head_ != nullptr);
 }
 
-std::string HeadStage::ShapeSignature() const {
-  return "(N," + Int64Str(embedding_dim_) + ")->(N," +
-         Int64Str(num_classes_) + ")";
-}
-
-int64_t HeadStage::FittedStateBytes() const {
-  if (!fitted_) return 0;
-  return head_->NumParameters() * static_cast<int64_t>(sizeof(float));
-}
-
 Status HeadStage::Fit(const Tensor& embeddings,
                       const std::vector<int64_t>& labels,
                       const ExecutionContext& ctx) {
-  if (embeddings.ndim() != 2) {
+  if (embeddings.ndim() != 2 || embeddings.dim(1) != embedding_dim_) {
     return Status::InvalidArgument("head stage trains on embeddings (N, E)");
+  }
+  if (static_cast<int64_t>(labels.size()) != embeddings.dim(0) ||
+      std::any_of(labels.begin(), labels.end(), [&](int64_t label) {
+        return label < 0 || label >= num_classes_;
+      })) {
+    return Status::InvalidArgument(
+        "head stage needs one label in [0, C) per embedding");
   }
   optim::AdamW opt(head_->Parameters(), options_.lr, 0.9f, 0.999f, 1e-8f,
                    options_.weight_decay);
@@ -213,7 +179,6 @@ Status HeadStage::Fit(const Tensor& embeddings,
       loss.Backward();
       opt.Step();
       opt.ZeroGrad();
-      head_->ZeroGrad();
       loss_sum += loss.value()[0];
       if (ctx.on_epoch) correct += CountCorrect(logits.value(), yb);
     }
@@ -224,34 +189,24 @@ Status HeadStage::Fit(const Tensor& embeddings,
                                      last, correct, embeddings.dim(0)));
   }
   final_loss_ = last;
-  fitted_ = true;
   return Status::OK();
 }
 
 Result<Tensor> HeadStage::Apply(const Tensor& x,
                                 const ExecutionContext& ctx) const {
   (void)ctx;
-  if (x.ndim() != 2) {
+  if (x.ndim() != 2 || x.dim(1) != embedding_dim_) {
     return Status::InvalidArgument("head stage expects embeddings (N, E)");
   }
   ag::NoGradGuard guard;
   return head_->Forward(ag::Constant(x)).value();
 }
 
-int64_t AdapterStateBytes(const core::Adapter& adapter) {
-  if (!adapter.fitted()) return 0;
-  // The serialized fitted state is the exact byte count a Save would write.
-  std::ostringstream os;
-  if (!adapter.SaveState(&os).ok()) return 0;
-  return static_cast<int64_t>(os.str().size());
-}
-
 // ---------------------------------------------------------------------------
-// Dataset embedding (moved here from finetune so the pipeline layer owns the
-// encoder-facing execution path; finetune keeps thin compatibility shims).
+// Dataset embedding
 
 Tensor EmbedDataset(const models::FoundationModel& model, const Tensor& x,
-                    int64_t batch_size, uint64_t seed) {
+                    int64_t batch_size) {
   TSFM_TRACE_SPAN("finetune.embed_dataset");
   const int64_t n = x.dim(0);
   const int64_t bs = std::max<int64_t>(1, batch_size);
@@ -260,14 +215,12 @@ Tensor EmbedDataset(const models::FoundationModel& model, const Tensor& x,
   // Batches are independent under the frozen encoder, so they embed in
   // parallel; results land in per-batch slots and concatenate in batch
   // order, so the output matches the serial loop exactly. The NoGradGuard
-  // (thread-local) and the inference Rng are per task: evaluation forward
-  // passes never consume randomness, so per-task re-seeding is equivalent
-  // to the former shared stream.
+  // is thread-local, so each task holds its own. An eval forward draws no
+  // randomness, so its context carries no Rng.
   runtime::ParallelFor(0, num_batches, /*grain=*/1, [&](int64_t lo,
                                                         int64_t hi) {
     ag::NoGradGuard guard;
-    Rng rng(seed);
-    nn::ForwardContext ctx{/*training=*/false, &rng};
+    const nn::ForwardContext ctx{/*training=*/false, /*rng=*/nullptr};
     for (int64_t b = lo; b < hi; ++b) {
       // Budget poll per batch: a long embed pass over a large dataset must
       // abort at the cap, not after it. A tripped budget abandons the
@@ -316,19 +269,19 @@ std::string EmbedCacheKey(const models::FoundationModel& model,
 }
 
 Tensor EmbedDatasetCached(const models::FoundationModel& model,
-                          const Tensor& x, int64_t batch_size, uint64_t seed,
+                          const Tensor& x, int64_t batch_size,
                           const std::string& salt,
                           const data::ChannelStats* stats, std::string* mode) {
   if (mode != nullptr) *mode = "eager";
   if (!io::EmbedCacheEnabled()) {
-    return EmbedDataset(model, x, batch_size, seed);
+    return EmbedDataset(model, x, batch_size);
   }
   const std::string digest = EmbedCacheKey(model, x, batch_size, salt, stats);
   if (Result<Tensor> hit = io::EmbedCacheLookup(digest); hit.ok()) {
     if (mode != nullptr) *mode = "cache";
     return std::move(hit).value();
   }
-  Tensor emb = EmbedDataset(model, x, batch_size, seed);
+  Tensor emb = EmbedDataset(model, x, batch_size);
   if (!obs::BudgetTripped() && emb.numel() > 0) {
     if (Status s = io::EmbedCacheStore(digest, emb); !s.ok()) {
       // A failed store never fails the run; the embedding is already here.

@@ -1,39 +1,80 @@
 #ifndef TSFM_PIPELINE_STAGES_H_
 #define TSFM_PIPELINE_STAGES_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
+#include "common/status.h"
 #include "core/adapter.h"
 #include "data/dataset.h"
 #include "models/foundation_model.h"
 #include "models/head.h"
-#include "pipeline/stage.h"
+#include "pipeline/progress.h"
+#include "tensor/tensor.h"
 
 namespace tsfm::pipeline {
+
+/// What one fit run hands every stage call: batching, the embedding-cache
+/// opt-in and key parts, the shuffling stream and the epoch callback. Plain
+/// value type: drivers copy it and tweak fields per pass.
+struct ExecutionContext {
+  /// Mini-batch size for stages that process samples in chunks (embed, head
+  /// training).
+  int64_t batch_size = 32;
+  /// Seed of HeadStage::Fit's batching stream when `rng` is unset.
+  uint64_t seed = 0;
+
+  /// Allow EmbedStage to serve/store dataset embeddings through the
+  /// content-addressed cache (io::EmbedCache*). Off for per-request
+  /// inference, on for dataset-level fine-tune embeds.
+  bool allow_embed_cache = false;
+  /// Strategy/adapter tag folded into the embed cache key so unrelated
+  /// runs can never share an entry even on a hash fluke.
+  std::string cache_salt;
+  /// Normalization statistics the input was produced with; folded into the
+  /// embed cache key so a refit with different train stats on the same raw
+  /// tensor can never hit a stale entry. Null when no normalization ran.
+  const data::ChannelStats* cache_stats = nullptr;
+
+  /// When non-null, receives how the embed stage actually ran: "cache" on a
+  /// cache hit, otherwise "eager".
+  std::string* embed_mode = nullptr;
+
+  /// Batching/shuffling stream for training stages; falls back to a local
+  /// Rng(seed) when null. Drivers pass their own stream to preserve exact
+  /// RNG sequences across refactors.
+  Rng* rng = nullptr;
+  /// Epoch-progress callback for training stages (HeadStage::Fit).
+  EpochCallback on_epoch;
+};
+
+// The paper's chain, one class per step: normalize -> adapt -> embed ->
+// head. Each owns its fitted state; `Fit` is exclusive, and `Apply` is const
+// and safe to call from many threads once the stage is fitted. Every stage
+// has the same Fit(x, y, ctx) / Apply(x, ctx) pair: the fine-tune driver and
+// perfbench's traced fit replay make the same calls in the same order, so
+// the replay's per-call rows account for the fit.
 
 /// Z-score normalization with training-set statistics (the paper's
 /// preprocessing). Fit computes per-channel mean/std over (N, T) jointly;
 /// Apply broadcasts them over any (N, T, D) batch.
-class NormalizeStage : public Stage {
+class NormalizeStage {
  public:
   NormalizeStage() = default;
   /// Restores a fitted stage from saved statistics.
   explicit NormalizeStage(data::ChannelStats stats);
 
-  const char* name() const override { return "normalize"; }
-  std::string ShapeSignature() const override;
-  bool fitted() const override { return fitted_; }
-  int64_t FittedStateBytes() const override;
   Status Fit(const Tensor& x, const std::vector<int64_t>& y,
-             const ExecutionContext& ctx) override;
-  Result<Tensor> Apply(const Tensor& x,
-                       const ExecutionContext& ctx) const override;
+             const ExecutionContext& ctx);
+  /// FailedPrecondition before Fit.
+  Result<Tensor> Apply(const Tensor& x, const ExecutionContext& ctx) const;
 
-  /// Fitted statistics; valid once fitted(). The reference stays valid for
-  /// the stage's lifetime, so drivers can point ExecutionContext::cache_stats
-  /// at it before Fit has run.
+  /// Fitted statistics. The reference stays valid for the stage's lifetime,
+  /// so drivers can point ExecutionContext::cache_stats at it before Fit has
+  /// run.
   const data::ChannelStats& stats() const { return stats_; }
 
  private:
@@ -44,21 +85,14 @@ class NormalizeStage : public Stage {
 /// Channel-dimensionality reduction behind a core::Adapter: (N, T, D) ->
 /// (N, T', D'). Fit delegates to Adapter::Fit (and records the
 /// adapter.fit_seconds histogram); Apply to the static Transform.
-class AdaptStage : public Stage {
+class AdaptStage {
  public:
   explicit AdaptStage(std::shared_ptr<core::Adapter> adapter);
 
-  const char* name() const override { return "adapt"; }
-  std::string ShapeSignature() const override;
-  bool fitted() const override;
-  int64_t FittedStateBytes() const override;
   Status Fit(const Tensor& x, const std::vector<int64_t>& y,
-             const ExecutionContext& ctx) override;
-  Result<Tensor> Apply(const Tensor& x,
-                       const ExecutionContext& ctx) const override;
+             const ExecutionContext& ctx);
+  Result<Tensor> Apply(const Tensor& x, const ExecutionContext& ctx) const;
 
-  const core::Adapter* adapter() const { return adapter_.get(); }
-  std::shared_ptr<core::Adapter> shared_adapter() const { return adapter_; }
   /// Wall-clock of the last Fit call (0 before any Fit). Drivers surface it
   /// as FineTuneResult::adapter_fit_seconds.
   double last_fit_seconds() const { return last_fit_seconds_; }
@@ -69,25 +103,15 @@ class AdaptStage : public Stage {
 };
 
 /// Frozen-encoder embedding: (N, T, D') -> (N, E) in batch_size chunks,
-/// optionally through the content-addressed embedding cache. Born fitted —
-/// the encoder weights are the (pretrained) fitted state.
-class EmbedStage : public Stage {
+/// optionally through the content-addressed embedding cache. The encoder is
+/// pretrained and frozen, so Fit does nothing.
+class EmbedStage {
  public:
   explicit EmbedStage(std::shared_ptr<const models::FoundationModel> model);
 
-  const char* name() const override { return "embed"; }
-  std::string ShapeSignature() const override;
-  bool fitted() const override { return true; }
-  int64_t FittedStateBytes() const override;
   Status Fit(const Tensor& x, const std::vector<int64_t>& y,
-             const ExecutionContext& ctx) override;
-  Result<Tensor> Apply(const Tensor& x,
-                       const ExecutionContext& ctx) const override;
-
-  const models::FoundationModel& model() const { return *model_; }
-  std::shared_ptr<const models::FoundationModel> shared_model() const {
-    return model_;
-  }
+             const ExecutionContext& ctx);
+  Result<Tensor> Apply(const Tensor& x, const ExecutionContext& ctx) const;
 
  private:
   std::shared_ptr<const models::FoundationModel> model_;
@@ -102,48 +126,35 @@ struct HeadTrainOptions {
 };
 
 /// Linear classification head: Fit trains it with AdamW on cached
-/// embeddings (N, E); Apply maps embeddings to logits (N, C).
-class HeadStage : public Stage {
+/// embeddings (N, E); Apply maps embeddings to logits (N, C). `E` and `C`
+/// are the head's shape; Fit and Apply refuse embeddings and labels that do
+/// not fit it.
+class HeadStage {
  public:
   HeadStage(std::shared_ptr<models::ClassificationHead> head,
             int64_t embedding_dim, int64_t num_classes,
             HeadTrainOptions options);
 
-  const char* name() const override { return "head"; }
-  std::string ShapeSignature() const override;
-  bool fitted() const override { return fitted_; }
-  int64_t FittedStateBytes() const override;
   Status Fit(const Tensor& x, const std::vector<int64_t>& y,
-             const ExecutionContext& ctx) override;
-  Result<Tensor> Apply(const Tensor& x,
-                       const ExecutionContext& ctx) const override;
+             const ExecutionContext& ctx);
+  Result<Tensor> Apply(const Tensor& x, const ExecutionContext& ctx) const;
 
-  /// Mean training loss of the final Fit epoch. Requires fitted().
+  /// Mean training loss of the final Fit epoch (0 before any Fit).
   double final_loss() const { return final_loss_; }
-  const models::ClassificationHead& head() const { return *head_; }
-  std::shared_ptr<models::ClassificationHead> shared_head() const {
-    return head_;
-  }
 
  private:
   std::shared_ptr<models::ClassificationHead> head_;
   HeadTrainOptions options_;
   int64_t embedding_dim_ = 0;
   int64_t num_classes_ = 0;
-  bool fitted_ = false;
   double final_loss_ = 0;
 };
-
-/// Size in bytes of the adapter's serialized fitted state (exactly what a
-/// Save would write); 0 when unfitted. Shared by AdaptStage and
-/// InferenceSession::Describe.
-int64_t AdapterStateBytes(const core::Adapter& adapter);
 
 /// Embeds every sample of `x` (already adapter-transformed) with the frozen
 /// encoder in `batch_size` chunks, without building a tape. Returns (N, E);
 /// an empty tensor when the live resource budget tripped mid-pass.
 Tensor EmbedDataset(const models::FoundationModel& model, const Tensor& x,
-                    int64_t batch_size, uint64_t seed);
+                    int64_t batch_size);
 
 /// Content hash keying one dataset embedding in the cache: model parameters,
 /// the (normalized, adapter-transformed) input tensor, the batch split, the
@@ -162,7 +173,7 @@ std::string EmbedCacheKey(const models::FoundationModel& model,
 /// passes are never stored. When `mode` is non-null it receives "cache" on a
 /// hit, otherwise "eager".
 Tensor EmbedDatasetCached(const models::FoundationModel& model,
-                          const Tensor& x, int64_t batch_size, uint64_t seed,
+                          const Tensor& x, int64_t batch_size,
                           const std::string& salt,
                           const data::ChannelStats* stats,
                           std::string* mode);

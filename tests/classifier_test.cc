@@ -211,7 +211,7 @@ TEST(ClassifierTest, ReportCollectorChainsUserCallback) {
   ClassifierConfig config = QuickConfig();
   config.finetune.head_epochs = 3;
   int user_calls = 0;
-  config.finetune.on_epoch = [&](const finetune::EpochProgress&) {
+  config.finetune.on_epoch = [&](const pipeline::EpochProgress&) {
     ++user_calls;
   };
   auto clf = TsfmClassifier::Create(config);

@@ -1,4 +1,5 @@
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "obs/budget.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "pipeline/stages.h"
 #include "tensor/ops.h"
 
 namespace tsfm {
@@ -267,8 +269,8 @@ TEST(EmbedDatasetTest, ShapeAndBatchingConsistency) {
   auto model = TinyMoment();
   Rng rng(3);
   Tensor x = Tensor::RandN({10, 32, 3}, &rng);
-  Tensor full = finetune::EmbedDataset(*model, x, 10, 0);
-  Tensor chunked = finetune::EmbedDataset(*model, x, 3, 0);
+  Tensor full = pipeline::EmbedDataset(*model, x, 10);
+  Tensor chunked = pipeline::EmbedDataset(*model, x, 3);
   EXPECT_EQ(full.shape(), (Shape{10, 16}));
   EXPECT_LT(MaxAbsDiff(full, chunked), 1e-5f);
 }
@@ -278,8 +280,8 @@ TEST(FineTuneTest, EpochCallbackDeliversFullTimeline) {
   auto pair = SmallProblem(12);
   FineTuneOptions o = QuickOptions(Strategy::kHeadOnly);
   o.head_epochs = 5;
-  std::vector<finetune::EpochProgress> timeline;
-  o.on_epoch = [&](const finetune::EpochProgress& p) {
+  std::vector<pipeline::EpochProgress> timeline;
+  o.on_epoch = [&](const pipeline::EpochProgress& p) {
     timeline.push_back(p);
   };
   auto r = FineTune(model.get(), nullptr, pair.train, pair.test, o);
@@ -288,8 +290,8 @@ TEST(FineTuneTest, EpochCallbackDeliversFullTimeline) {
   for (size_t i = 0; i < timeline.size(); ++i) {
     EXPECT_EQ(timeline[i].epoch, static_cast<int64_t>(i));
     EXPECT_EQ(timeline[i].total_epochs, 5);
-    EXPECT_EQ(timeline[i].phase, finetune::Phase::kHead);
-    EXPECT_STREQ(finetune::PhaseName(timeline[i].phase), "head");
+    EXPECT_EQ(timeline[i].phase, pipeline::Phase::kHead);
+    EXPECT_STREQ(pipeline::PhaseName(timeline[i].phase), "head");
     EXPECT_GE(timeline[i].accuracy, 0.0);
     EXPECT_LE(timeline[i].accuracy, 1.0);
     EXPECT_GT(timeline[i].seconds, 0.0);
@@ -298,6 +300,48 @@ TEST(FineTuneTest, EpochCallbackDeliversFullTimeline) {
   // Training converges, so the last epoch should not be less accurate than
   // the first by a wide margin — and loss must drop.
   EXPECT_LT(timeline.back().loss, timeline.front().loss);
+}
+
+// Stage names of a run's timing rows, in row order; every row's time is a
+// real measurement.
+std::vector<std::string> StageNames(const finetune::FineTuneResult& r) {
+  std::vector<std::string> names;
+  for (const auto& row : r.stage_timings) {
+    names.push_back(row.stage);
+    EXPECT_GT(row.seconds, 0.0) << row.stage;
+  }
+  return names;
+}
+
+// The embed-once path reports each stage once, in the order the stages ran:
+// the test pass adds to the train pass's rows instead of appending its own.
+TEST(FineTuneTest, EmbedOnceReportsEachStageOnceInOrder) {
+  auto model = TinyMoment();
+  auto pair = SmallProblem(14);
+  AdapterOptions ao;
+  ao.out_channels = 3;
+  auto adapter = core::CreateAdapter(AdapterKind::kPca, ao);
+  FineTuneOptions o = QuickOptions(Strategy::kAdapterPlusHead);
+  o.head_epochs = 3;
+  auto r = FineTune(model.get(), adapter.get(), pair.train, pair.test, o);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(StageNames(*r), (std::vector<std::string>{"normalize", "adapt",
+                                                      "embed", "head"}));
+}
+
+// The joint path times its prologue (normalize, adapter fit) as stages; the
+// encoder and head train in the joint loop, which is not a stage.
+TEST(FineTuneTest, JointPrologueReportsNormalizeAndAdapt) {
+  auto model = TinyMoment();
+  auto pair = SmallProblem(15);
+  AdapterOptions ao;
+  ao.out_channels = 3;
+  auto adapter = core::CreateAdapter(AdapterKind::kLcomb, ao);
+  FineTuneOptions o = QuickOptions(Strategy::kAdapterPlusHead);
+  o.joint_epochs = 1;
+  auto r = FineTune(model.get(), adapter.get(), pair.train, pair.test, o);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(StageNames(*r), (std::vector<std::string>{"normalize", "adapt"}));
 }
 
 TEST(FineTuneTest, TinyMemoryBudgetStopsRunWithDiagnosis) {

@@ -19,6 +19,7 @@
 #include "core/io_util.h"
 #include "data/uea_like.h"
 #include "finetune/finetune.h"
+#include "pipeline/stages.h"
 #include "io/artifact.h"
 #include "io/embed_cache.h"
 #include "io/hash.h"
@@ -661,14 +662,16 @@ TEST(EmbedCacheTest, EmbedDatasetCachedHitMatchesMissBitwise) {
 
   // Reference: the plain (uncached) embed pass.
   io::SetEmbedCacheDir("");
-  const Tensor plain = finetune::EmbedDataset(*model, x, 16, 5);
+  const Tensor plain = pipeline::EmbedDataset(*model, x, 16);
 
   CacheDirGuard cache("embed_cache_dataset");
   const uint64_t store0 = CounterValue("cache.store");
-  const Tensor miss = finetune::EmbedDatasetCached(*model, x, 16, 5, "t");
+  const Tensor miss =
+      pipeline::EmbedDatasetCached(*model, x, 16, "t", nullptr, nullptr);
   EXPECT_EQ(CounterValue("cache.store"), store0 + 1);
   const uint64_t hit0 = CounterValue("cache.hit");
-  const Tensor hit = finetune::EmbedDatasetCached(*model, x, 16, 5, "t");
+  const Tensor hit =
+      pipeline::EmbedDatasetCached(*model, x, 16, "t", nullptr, nullptr);
   EXPECT_EQ(CounterValue("cache.hit"), hit0 + 1);
 
   ASSERT_EQ(plain.numel(), miss.numel());
@@ -683,7 +686,7 @@ TEST(EmbedCacheTest, EmbedDatasetCachedHitMatchesMissBitwise) {
 
   // A different salt (strategy/adapter tag) must not collide.
   const uint64_t store1 = CounterValue("cache.store");
-  finetune::EmbedDatasetCached(*model, x, 16, 5, "other");
+  pipeline::EmbedDatasetCached(*model, x, 16, "other", nullptr, nullptr);
   EXPECT_EQ(CounterValue("cache.store"), store1 + 1);
 }
 

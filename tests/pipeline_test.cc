@@ -1,4 +1,4 @@
-// Tests of the pipeline layer: stages, composition, the embed-cache key
+// Tests of the pipeline layer: the four stages, the embed-cache key
 // (normalization statistics must be part of it), fitted-bundle persistence,
 // and the fitted round trip Save -> Load -> Predict staying bit-identical
 // for every adapter kind, with and without the embedding cache.
@@ -12,7 +12,6 @@
 #include "data/uea_like.h"
 #include "finetune/classifier.h"
 #include "io/embed_cache.h"
-#include "pipeline/pipeline.h"
 #include "pipeline/registry.h"
 #include "pipeline/session.h"
 #include "pipeline/stages.h"
@@ -76,22 +75,23 @@ bool BitIdentical(const Tensor& a, const Tensor& b) {
 TEST(PipelineStagesTest, NormalizeStageMatchesDatasetNormalization) {
   auto pair = Problem(3);
   pipeline::NormalizeStage stage;
-  EXPECT_FALSE(stage.fitted());
   pipeline::ExecutionContext ctx;
-  ASSERT_TRUE(stage.Fit(pair.train.x, pair.train.y, ctx).ok());
-  EXPECT_TRUE(stage.fitted());
-  EXPECT_GT(stage.FittedStateBytes(), 0);
+  // Apply before Fit has no statistics to apply.
+  auto unfitted = stage.Apply(pair.train.x, ctx);
+  ASSERT_FALSE(unfitted.ok());
+  EXPECT_EQ(unfitted.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(unfitted.status().ToString().find("normalize"), std::string::npos);
 
+  ASSERT_TRUE(stage.Fit(pair.train.x, pair.train.y, ctx).ok());
   auto applied = stage.Apply(pair.train.x, ctx);
   ASSERT_TRUE(applied.ok());
   const data::TimeSeriesDataset reference =
       data::NormalizeWith(pair.train, data::ComputeChannelStats(pair.train));
   EXPECT_TRUE(BitIdentical(*applied, reference.x));
 
-  // Restore constructor: a stage rebuilt from the fitted stats is fitted and
-  // produces identical output.
+  // Restore constructor: a stage rebuilt from the fitted stats applies
+  // without a Fit and produces identical output.
   pipeline::NormalizeStage restored(stage.stats());
-  EXPECT_TRUE(restored.fitted());
   auto reapplied = restored.Apply(pair.train.x, ctx);
   ASSERT_TRUE(reapplied.ok());
   EXPECT_TRUE(BitIdentical(*applied, *reapplied));
@@ -101,23 +101,21 @@ TEST(PipelineStagesTest, AdaptStageDelegatesToAdapter) {
   auto pair = Problem(4);
   core::AdapterOptions options;
   options.out_channels = 3;
-  auto adapter = core::CreateAdapter(core::AdapterKind::kPca, options);
+  std::shared_ptr<core::Adapter> adapter =
+      core::CreateAdapter(core::AdapterKind::kPca, options);
   ASSERT_NE(adapter, nullptr);
-  auto stage = std::make_shared<pipeline::AdaptStage>(std::move(adapter));
-  EXPECT_FALSE(stage->fitted());
-  EXPECT_EQ(stage->FittedStateBytes(), 0);
+  pipeline::AdaptStage stage(adapter);
 
   pipeline::ExecutionContext ctx;
-  ASSERT_TRUE(stage->Fit(pair.train.x, pair.train.y, ctx).ok());
-  EXPECT_TRUE(stage->fitted());
-  EXPECT_GT(stage->FittedStateBytes(), 0);
-  EXPECT_GT(stage->last_fit_seconds(), 0.0);
+  ASSERT_TRUE(stage.Fit(pair.train.x, pair.train.y, ctx).ok());
+  EXPECT_TRUE(adapter->fitted());
+  EXPECT_GT(stage.last_fit_seconds(), 0.0);
 
-  auto out = stage->Apply(pair.train.x, ctx);
+  auto out = stage.Apply(pair.train.x, ctx);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->dim(2), 3);
 
-  auto direct = stage->adapter()->Transform(pair.train.x);
+  auto direct = adapter->Transform(pair.train.x);
   ASSERT_TRUE(direct.ok());
   EXPECT_TRUE(BitIdentical(*out, *direct));
 }
@@ -126,8 +124,6 @@ TEST(PipelineStagesTest, EmbedAndHeadStagesComposeToLogits) {
   auto model = TinyMoment();
   auto pair = Problem(5);
   pipeline::EmbedStage embed(model);
-  EXPECT_TRUE(embed.fitted());  // born fitted: pretrained weights
-  EXPECT_GT(embed.FittedStateBytes(), 0);
 
   pipeline::ExecutionContext ctx;
   ctx.batch_size = 16;
@@ -138,7 +134,7 @@ TEST(PipelineStagesTest, EmbedAndHeadStagesComposeToLogits) {
   EXPECT_EQ(emb->dim(1), model->embedding_dim());
   // Same math as the free function it wraps.
   EXPECT_TRUE(BitIdentical(
-      *emb, pipeline::EmbedDataset(*model, pair.train.x, 16, 7)));
+      *emb, pipeline::EmbedDataset(*model, pair.train.x, 16)));
 
   Rng head_rng(3);
   auto head = std::make_shared<models::ClassificationHead>(
@@ -146,82 +142,26 @@ TEST(PipelineStagesTest, EmbedAndHeadStagesComposeToLogits) {
   pipeline::HeadStage head_stage(head, model->embedding_dim(),
                                  pair.train.num_classes,
                                  pipeline::HeadTrainOptions{4, 5e-2f, 1e-4f});
-  EXPECT_FALSE(head_stage.fitted());
+  // The head's shape is the stage's contract: embeddings of another width
+  // and labels outside [0, C) are refused before any training step.
+  const Tensor narrow = Slice(*emb, 1, 0, model->embedding_dim() - 1);
+  EXPECT_EQ(head_stage.Fit(narrow, pair.train.y, ctx).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(head_stage.Apply(narrow, ctx).ok());
+  std::vector<int64_t> bad_labels = pair.train.y;
+  bad_labels[0] = pair.train.num_classes;
+  EXPECT_EQ(head_stage.Fit(*emb, bad_labels, ctx).code(),
+            StatusCode::kInvalidArgument);
+  bad_labels.pop_back();
+  EXPECT_EQ(head_stage.Fit(*emb, bad_labels, ctx).code(),
+            StatusCode::kInvalidArgument);
+
   ASSERT_TRUE(head_stage.Fit(*emb, pair.train.y, ctx).ok());
-  EXPECT_TRUE(head_stage.fitted());
   EXPECT_GT(head_stage.final_loss(), 0.0);
 
   auto logits = head_stage.Apply(*emb, ctx);
   ASSERT_TRUE(logits.ok());
   EXPECT_EQ(logits->dim(1), pair.train.num_classes);
-}
-
-// ---------------------------------------------------------------------------
-// Pipeline composition
-
-TEST(PipelineTest, FitTransformRunsStagesInOrderAndRecordsTimings) {
-  auto model = TinyMoment();
-  auto pair = Problem(6);
-  core::AdapterOptions options;
-  options.out_channels = 3;
-  Rng head_rng(3);
-  auto head = std::make_shared<models::ClassificationHead>(
-      model->embedding_dim(), pair.train.num_classes, &head_rng);
-
-  pipeline::Pipeline pipe;
-  pipe.Add(std::make_shared<pipeline::NormalizeStage>())
-      .Add(std::make_shared<pipeline::AdaptStage>(
-          core::CreateAdapter(core::AdapterKind::kPca, options)))
-      .Add(std::make_shared<pipeline::EmbedStage>(model))
-      .Add(std::make_shared<pipeline::HeadStage>(
-          head, model->embedding_dim(), pair.train.num_classes,
-          pipeline::HeadTrainOptions{3, 5e-2f, 1e-4f}));
-  ASSERT_EQ(pipe.size(), 4u);
-  EXPECT_FALSE(pipe.fitted());
-
-  std::vector<pipeline::StageTiming> timings;
-  pipeline::ExecutionContext ctx;
-  ctx.batch_size = 16;
-  ctx.timings = &timings;
-  auto logits = pipe.FitTransform(pair.train.x, pair.train.y, ctx);
-  ASSERT_TRUE(logits.ok()) << logits.status().ToString();
-  EXPECT_TRUE(pipe.fitted());
-  EXPECT_EQ(logits->shape(),
-            (Shape{pair.train.size(), pair.train.num_classes}));
-
-  // One timing entry per stage, in pipeline order.
-  ASSERT_EQ(timings.size(), 4u);
-  EXPECT_EQ(timings[0].stage, "normalize");
-  EXPECT_EQ(timings[1].stage, "adapt");
-  EXPECT_EQ(timings[2].stage, "embed");
-  EXPECT_EQ(timings[3].stage, "head");
-  for (const auto& t : timings) EXPECT_GE(t.seconds, 0.0);
-
-  // Apply accumulates into the same entries (no duplicates).
-  auto test_logits = pipe.Apply(pair.test.x, ctx);
-  ASSERT_TRUE(test_logits.ok());
-  EXPECT_EQ(timings.size(), 4u);
-
-  // Describe reflects names, fit state and state sizes.
-  const auto desc = pipe.Describe();
-  ASSERT_EQ(desc.size(), 4u);
-  EXPECT_EQ(desc[0].name, "normalize");
-  EXPECT_EQ(desc[3].name, "head");
-  for (const auto& d : desc) {
-    EXPECT_TRUE(d.fitted);
-    EXPECT_GT(d.state_bytes, 0);
-    EXPECT_NE(d.signature.find("->"), std::string::npos);
-  }
-}
-
-TEST(PipelineTest, ApplyOnUnfittedPipelineFails) {
-  pipeline::Pipeline pipe;
-  pipe.Add(std::make_shared<pipeline::NormalizeStage>());
-  pipeline::ExecutionContext ctx;
-  auto pair = Problem(7);
-  auto out = pipe.Apply(pair.train.x, ctx);
-  EXPECT_FALSE(out.ok());
-  EXPECT_NE(out.status().ToString().find("normalize"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -266,7 +206,7 @@ TEST(RegistryTest, ArtifactNaming) {
   EXPECT_EQ(pipeline::StatsArtifactPath("p"), "p.stats");
 }
 
-TEST(RegistryTest, InstallGetRemoveAndHotSwap) {
+TEST(RegistryTest, InstallGetAndHotSwap) {
   auto model = TinyMoment();
   auto pair = Problem(9);
   data::ChannelStats stats = data::ComputeChannelStats(pair.train);
@@ -295,11 +235,6 @@ TEST(RegistryTest, InstallGetRemoveAndHotSwap) {
   EXPECT_EQ(registry.Get("clf"), *session_b);
   auto preds = held->PredictBatch(pair.test.x);  // swapped-out session lives
   EXPECT_TRUE(preds.ok());
-
-  EXPECT_EQ(registry.Names(), std::vector<std::string>{"clf"});
-  EXPECT_TRUE(registry.Remove("clf"));
-  EXPECT_FALSE(registry.Remove("clf"));
-  EXPECT_EQ(registry.Get("clf"), nullptr);
 }
 
 TEST(RegistryTest, LoadAndInstallServesSavedClassifier) {
@@ -329,7 +264,6 @@ TEST(RegistryTest, LoadAndInstallServesSavedClassifier) {
   pipeline::SessionOptions options;
   options.normalize = config.finetune.normalize;
   options.batch_size = config.finetune.batch_size;
-  options.seed = config.finetune.seed;
   std::shared_ptr<const models::FoundationModel> model(
       &clf->model(), [](const models::FoundationModel*) {});
   auto session = registry.LoadAndInstall("served", prefix, model,

@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "data/uea_like.h"
 #include "finetune/finetune.h"
+#include "pipeline/stages.h"
 #include "models/moment.h"
 #include "resources/cost_model.h"
 #include "resources/measured.h"
@@ -265,7 +266,7 @@ TEST(MeasuredMemoryTest, AnalyticEstimateMatchesMeasuredEmbedPeak) {
   Tensor x = Tensor::RandN(Shape{batch, length, channels}, &rng);
 
   const resources::MeasuredMemory measured = resources::MeasurePeak([&] {
-    Tensor emb = finetune::EmbedDataset(model, x, batch, /*seed=*/0);
+    Tensor emb = pipeline::EmbedDataset(model, x, batch);
     ASSERT_EQ(emb.dim(0), batch);
   });
   ASSERT_GT(measured.peak_bytes, 0);

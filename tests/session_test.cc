@@ -87,13 +87,22 @@ TEST(SessionTest, PredictMatchesClassifierBitIdentical) {
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(*facade, *direct);
 
+  // An empty batch is refused as a bad argument on every surface.
+  const Tensor empty(Shape{0, pair.test.x.dim(1), pair.test.x.dim(2)});
+  EXPECT_EQ(session->PredictBatch(empty).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(session->Logits(empty).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(session->Embed(empty).status().code(),
+            StatusCode::kInvalidArgument);
+
   // Single-sample surface agrees with the batch surface.
   Tensor one = Slice(pair.test.x, 0, 0, 1);
   auto single = session->Predict(one);
   ASSERT_TRUE(single.ok());
   EXPECT_EQ(*single, (*direct)[0]);
 
-  // Describe lists the full composed pipeline with fitted state.
+  // Describe lists every stage the session runs, each with fitted state.
   const auto desc = session->Describe();
   ASSERT_EQ(desc.size(), 4u);  // normalize, adapt, embed, head
   EXPECT_EQ(desc[0].name, "normalize");
@@ -101,8 +110,8 @@ TEST(SessionTest, PredictMatchesClassifierBitIdentical) {
   EXPECT_EQ(desc[2].name, "embed");
   EXPECT_EQ(desc[3].name, "head");
   for (const auto& d : desc) {
-    EXPECT_TRUE(d.fitted);
     EXPECT_GT(d.state_bytes, 0);
+    EXPECT_NE(d.signature.find("->"), std::string::npos);
   }
 }
 

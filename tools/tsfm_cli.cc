@@ -10,8 +10,9 @@
 //                 [--adapter PCA|SVD|Rand_Proj|VAR|lcomb|lcomb_top_k|none]
 //                 [--dprime 5] [--checkpoint path] [--save prefix]
 //       Fine-tune on your own CSV data and report accuracy; --save
-//       persists the fitted bundle for `pipeline describe --prefix` /
-//       the pipeline registry.
+//       persists the fitted bundle (<prefix>.adapter when there is an
+//       adapter, <prefix>.head, <prefix>.stats) for predict, serve and
+//       `pipeline describe`.
 //   tsfm cache list|verify|clear [--cache-dir dir]
 //       Maintain the embedding cache: list entries, re-check every CRC,
 //       or delete all entries. Defaults to TSFM_CACHE_DIR.
@@ -43,13 +44,11 @@
 //   tsfm serve-stats [--port 7070] [--follow] [--interval-ms 1000]
 //       Scrape a running server's metrics in Prometheus text exposition
 //       format (one shot, or repeatedly with --follow).
-//   tsfm pipeline describe [--model moment|vit] [--adapter PCA|...|none]
-//                 [--dprime 5] [--classes 2] [--checkpoint path]
-//                 [--prefix saved_prefix] [--check-fitted]
-//       Print the composed stage list (name, in/out shape, fitted-state
-//       bytes) for a configuration, or — with --prefix — for a fitted
-//       bundle saved by classifier Save / the pipeline registry.
-//       --check-fitted exits nonzero unless every stage is fitted.
+//   tsfm pipeline describe --prefix saved_prefix [--classes 2]
+//                 [--model moment|vit] [--adapter PCA|...|none] [--dprime 5]
+//                 [--checkpoint path]
+//       Load a fitted bundle as predict does and print the stages its
+//       session runs: name, in/out shape and fitted-state bytes.
 //
 // Any flag a command does not list above is an error, as is a value flag
 // given without a value, or a numeric flag whose value is not a number in
@@ -104,9 +103,7 @@
 #include "obs/run_report.h"
 #include "obs/trace.h"
 #include "models/pretrained.h"
-#include "pipeline/pipeline.h"
 #include "pipeline/registry.h"
-#include "pipeline/stages.h"
 #include "resources/cost_model.h"
 #include "runtime/thread_pool.h"
 #include "serve/client.h"
@@ -128,7 +125,7 @@ constexpr std::string_view kGlobalFlags[] = {
     "trace",   "profile",    "metrics",     "report",
     "threads", "mem-budget", "time-budget", "cache-dir"};
 // Flags that take no value.
-constexpr std::string_view kSwitches[] = {"full", "check-fitted", "follow"};
+constexpr std::string_view kSwitches[] = {"full", "follow"};
 
 // The value of a flag given without one; null if the flag needs a value.
 const char* ImpliedValue(std::string_view name) {
@@ -159,8 +156,7 @@ const std::map<std::string, FlagList>& CommandFlags() {
       {"serve-stats", {"host", "port", "follow", "interval-ms"}},
       {"cache", {}},
       {"pipeline",
-       {"model", "checkpoint", "adapter", "dprime", "classes", "prefix",
-        "check-fitted"}},
+       {"model", "checkpoint", "adapter", "dprime", "classes", "prefix"}},
   };
   return *kFlags;
 }
@@ -416,9 +412,12 @@ int CmdClassify(const Args& args) {
     return 1;
   }
   const auto& result = classifier->last_fit_result();
-  std::printf("model=%s adapter=%s D'=%lld\n", model_name.c_str(),
-              adapter_name.c_str(),
-              static_cast<long long>(config.adapter_options.out_channels));
+  std::printf("model=%s adapter=%s", model_name.c_str(), adapter_name.c_str());
+  if (config.adapter.has_value()) {
+    std::printf(" D'=%lld",
+                static_cast<long long>(config.adapter_options.out_channels));
+  }
+  std::printf("\n");
   std::printf("train accuracy %.4f\n", result.train_accuracy);
   std::printf("test accuracy  %.4f\n", result.test_accuracy);
   std::printf("total seconds  %.2f\n", result.total_seconds);
@@ -430,7 +429,8 @@ int CmdClassify(const Args& args) {
       std::fprintf(stderr, "save: %s\n", s.ToString().c_str());
       return 1;
     }
-    std::printf("saved          %s.{adapter,head,stats}\n", save.c_str());
+    std::printf("saved          %s.{%shead,stats}\n", save.c_str(),
+                config.adapter.has_value() ? "adapter," : "");
   }
   return 0;
 }
@@ -714,113 +714,34 @@ int CmdServeStats(const Args& args) {
   return 0;
 }
 
-void PrintStages(const std::vector<pipeline::StageDescription>& stages) {
-  std::printf("%-12s %-28s %-8s %12s\n", "stage", "shape", "fitted",
-              "state bytes");
-  for (const auto& d : stages) {
-    std::printf("%-12s %-28s %-8s %12lld\n", d.name.c_str(),
-                d.signature.c_str(), d.fitted ? "yes" : "no",
-                static_cast<long long>(d.state_bytes));
-  }
-}
-
-// With --check-fitted, `pipeline describe` becomes a machine-checkable
-// assertion: exit 3 unless every stage reports fitted (so CI does not have
-// to grep the table's whitespace).
-int FinishDescribe(const std::vector<pipeline::StageDescription>& stages,
-                   bool check_fitted) {
-  PrintStages(stages);
-  if (!check_fitted) return 0;
-  int unfitted = 0;
-  for (const auto& d : stages) {
-    if (!d.fitted) {
-      std::fprintf(stderr, "check-fitted: stage '%s' is not fitted\n",
-                   d.name.c_str());
-      ++unfitted;
-    }
-  }
-  if (unfitted > 0) return 3;
-  std::printf("check-fitted: all %zu stages fitted\n", stages.size());
-  return 0;
-}
-
-// `tsfm pipeline describe`: the composed stage list for a configuration
-// (unfitted stages) or a saved fitted bundle (--prefix).
+// `tsfm pipeline describe`: loads the bundle under --prefix as predict and
+// serve do, and prints the stages its session runs.
 int CmdPipeline(const std::string& verb, const Args& args) {
   if (verb != "describe") {
     std::fprintf(stderr, "unknown pipeline verb '%s' (describe)\n",
                  verb.c_str());
     return 1;
   }
-  const bool check_fitted = GetOr(args, "check-fitted", "") == "1";
-  finetune::ClassifierConfig config;
-  const std::string model_name = GetOr(args, "model", "moment");
-  config.model_kind = model_name == "vit" || model_name == "ViT"
-                          ? models::ModelKind::kVit
-                          : models::ModelKind::kMoment;
-  if (config.model_kind == models::ModelKind::kVit) {
-    config.model_config = models::VitSmallConfig();
-  }
-  config.checkpoint_path =
-      GetOr(args, "checkpoint",
-            std::string("checkpoints/cli_") + model_name + ".ckpt");
-  const std::string adapter_name = GetOr(args, "adapter", "PCA");
-  if (!ParseAdapter(adapter_name, &config)) {
-    std::fprintf(stderr, "unknown adapter '%s'\n", adapter_name.c_str());
-    return 1;
-  }
+  std::shared_ptr<const models::FoundationModel> model;
+  std::optional<core::AdapterKind> adapter;
   int64_t classes = 0;
-  if (!GetNumber<int64_t>(args, "dprime", 5,
-                          &config.adapter_options.out_channels) ||
-      !GetNumber<int64_t>(args, "classes", 2, &classes)) {
-    return 1;
+  std::shared_ptr<const pipeline::InferenceSession> session;
+  if (int rc = LoadServingSession(args, "cli", 2, &model, &adapter, &classes,
+                                  &session);
+      rc != 0) {
+    return rc;
   }
-
-  auto model = models::LoadOrPretrain(config.model_kind, config.model_config,
-                                      config.pretrain, config.checkpoint_path);
-  if (!model.ok()) {
-    std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
-    return 1;
-  }
-  std::shared_ptr<const models::FoundationModel> frozen = *model;
-
-  const std::string prefix = GetOr(args, "prefix", "");
-  if (!prefix.empty()) {
-    // Describe the fitted bundle saved under the prefix.
-    auto session = pipeline::Registry::Instance().LoadAndInstall(
-        "cli", prefix, frozen, config.adapter, classes,
-        pipeline::SessionOptions{});
-    if (!session.ok()) {
-      std::fprintf(stderr, "%s\n", session.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("fitted pipeline at %s (model=%s, E=%lld, C=%lld):\n",
-                prefix.c_str(), model_name.c_str(),
-                static_cast<long long>(frozen->embedding_dim()),
-                static_cast<long long>(classes));
-    return FinishDescribe((*session)->Describe(), check_fitted);
-  }
-
-  // No prefix: describe the configured (unfitted) composition.
-  pipeline::Pipeline pipe;
-  pipe.Add(std::make_unique<pipeline::NormalizeStage>());
-  if (config.adapter.has_value()) {
-    pipe.Add(std::make_unique<pipeline::AdaptStage>(
-        core::CreateAdapter(*config.adapter, config.adapter_options)));
-  }
-  pipe.Add(std::make_unique<pipeline::EmbedStage>(frozen));
-  Rng head_rng(0);
-  pipe.Add(std::make_unique<pipeline::HeadStage>(
-      std::make_shared<models::ClassificationHead>(frozen->embedding_dim(),
-                                                   classes, &head_rng),
-      frozen->embedding_dim(), classes, pipeline::HeadTrainOptions{}));
-  std::printf("configured pipeline (model=%s, adapter=%s, D'=%lld, E=%lld, "
-              "C=%lld):\n",
-              model_name.c_str(), adapter_name.c_str(),
-              static_cast<long long>(config.adapter_options.out_channels),
-              static_cast<long long>(frozen->embedding_dim()),
+  std::printf("fitted pipeline at %s (model=%s, E=%lld, C=%lld):\n",
+              GetOr(args, "prefix", "").c_str(),
+              GetOr(args, "model", "moment").c_str(),
+              static_cast<long long>(model->embedding_dim()),
               static_cast<long long>(classes));
-  return FinishDescribe(pipe.Describe(), check_fitted);
+  std::printf("%-12s %-28s %12s\n", "stage", "shape", "state bytes");
+  for (const auto& d : session->Describe()) {
+    std::printf("%-12s %-28s %12lld\n", d.name.c_str(), d.signature.c_str(),
+                static_cast<long long>(d.state_bytes));
+  }
+  return 0;
 }
 
 // Maintenance verbs for the embedding cache; the directory comes from
