@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "io/embed_cache.h"
 #include "obs/budget.h"
 #include "obs/run_report.h"
 #include "resources/measured.h"
@@ -47,9 +46,6 @@ ExperimentConfig ConfigFromEnv() {
   if (const char* dir = std::getenv("TSFM_CHECKPOINT_DIR"); dir != nullptr) {
     config.checkpoint_dir = dir;
   }
-  if (const char* cache = std::getenv("TSFM_CACHE_DIR"); cache != nullptr) {
-    config.cache_dir = cache;
-  }
   return config;
 }
 
@@ -80,12 +76,7 @@ std::string MethodLabel(const std::optional<core::AdapterKind>& adapter,
 }
 
 ExperimentRunner::ExperimentRunner(ExperimentConfig config)
-    : config_(std::move(config)) {
-  // Sweeps revisit the same frozen (model, adapter, dataset) triples across
-  // strategies; routing them through the embedding cache makes every repeat
-  // a disk read instead of an encoder pass.
-  if (!config_.cache_dir.empty()) tsfm::io::SetEmbedCacheDir(config_.cache_dir);
-}
+    : config_(std::move(config)) {}
 
 std::vector<data::UeaDatasetSpec> ExperimentRunner::Datasets() const {
   std::vector<data::UeaDatasetSpec> out;
@@ -268,7 +259,6 @@ Result<RunRecord> ExperimentRunner::Run(const RunSpec& spec) {
     report.mem_acquires = static_cast<double>(mem.acquires);
     report.mem_pool_hits = static_cast<double>(mem.pool_hits);
     report.mem_heap_allocs = static_cast<double>(mem.heap_allocs);
-    report.embed_mode = measured->embed_mode;
     report.stages = measured->stage_timings;
     report.train_accuracy = measured->train_accuracy;
     report.test_accuracy = measured->test_accuracy;

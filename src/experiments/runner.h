@@ -19,9 +19,6 @@ namespace tsfm::experiments {
 ///   TSFM_BENCH_FAST=1  -> aggressive caps, fewer seeds (CI mode)
 ///   TSFM_SEEDS=n       -> number of seeds (default 3, as in the paper)
 ///   TSFM_DATASETS=a,b  -> restrict to named datasets
-///   TSFM_CACHE_DIR=d   -> content-addressed embedding cache; sweep entries
-///                         that revisit a (model, adapter, dataset) triple
-///                         skip the embed pass entirely
 struct ExperimentConfig {
   bool fast = false;
   int64_t num_seeds = 3;
@@ -29,9 +26,6 @@ struct ExperimentConfig {
   data::GeneratorCaps caps = data::DefaultCaps();
   std::vector<std::string> dataset_filter;  // empty = all 12
   std::string checkpoint_dir = "checkpoints";
-  /// Embedding-cache directory (io::SetEmbedCacheDir); empty = leave the
-  /// process-wide setting (TSFM_CACHE_DIR / --cache-dir) untouched.
-  std::string cache_dir;
 };
 
 /// Reads the configuration from environment variables.

@@ -184,7 +184,6 @@ Status TsfmClassifier::Fit(const data::TimeSeriesDataset& train,
   report.mem_acquires = static_cast<double>(mem.acquires);
   report.mem_pool_hits = static_cast<double>(mem.pool_hits);
   report.mem_heap_allocs = static_cast<double>(mem.heap_allocs);
-  report.embed_mode = last_result_.embed_mode;
   report.train_accuracy = last_result_.train_accuracy;
   report.test_accuracy = last_result_.test_accuracy;
   report.final_loss = last_result_.final_loss;

@@ -167,22 +167,15 @@ Result<FineTuneResult> FineTuneWithHead(models::FoundationModel* model,
         Unowned(head_ptr), model->embedding_dim(), train.num_classes,
         pipeline::HeadTrainOptions{options.head_epochs, options.head_lr,
                                    options.weight_decay});
-    ctx.allow_embed_cache = true;
-    ctx.cache_salt = std::string(StrategyName(options.strategy)) + "/" +
-                     (adapter != nullptr ? adapter->name() : "no_adapter");
-    ctx.cache_stats = options.normalize ? &norm.stats() : nullptr;
 
-    // Logits of one split; `fit` fits every stage first. `embed_mode`
-    // receives how that split's embed pass ran.
-    auto run = [&](const data::TimeSeriesDataset& ds, bool fit,
-                   std::string* embed_mode) -> Result<Tensor> {
-      pipeline::ExecutionContext split_ctx = ctx;
-      split_ctx.embed_mode = embed_mode;
+    // Logits of one split; `fit` fits every stage first.
+    auto run = [&](const data::TimeSeriesDataset& ds,
+                   bool fit) -> Result<Tensor> {
       Tensor x = ds.x;
       auto pass = [&](const char* name, auto& stage) -> Status {
         StagePass timed(name, timings);
-        if (fit) TSFM_RETURN_IF_ERROR(stage.Fit(x, ds.y, split_ctx));
-        TSFM_ASSIGN_OR_RETURN(x, stage.Apply(x, split_ctx));
+        if (fit) TSFM_RETURN_IF_ERROR(stage.Fit(x, ds.y, ctx));
+        TSFM_ASSIGN_OR_RETURN(x, stage.Apply(x, ctx));
         return Status::OK();
       };
       if (options.normalize) TSFM_RETURN_IF_ERROR(pass("normalize", norm));
@@ -192,24 +185,16 @@ Result<FineTuneResult> FineTuneWithHead(models::FoundationModel* model,
       return x;
     };
 
-    std::string train_mode = result.embed_mode;
-    std::string test_mode = result.embed_mode;
     const auto t_train = Clock::now();
-    TSFM_ASSIGN_OR_RETURN(Tensor train_logits,
-                          run(train, /*fit=*/true, &train_mode));
+    TSFM_ASSIGN_OR_RETURN(Tensor train_logits, run(train, /*fit=*/true));
     result.final_loss = head.final_loss();
     result.adapter_fit_seconds =
         adapt.has_value() ? adapt->last_fit_seconds() : 0.0;
     result.train_seconds = SecondsSince(t_train);
     result.train_accuracy = data::Accuracy(Predict(train_logits), train);
 
-    TSFM_ASSIGN_OR_RETURN(Tensor test_logits,
-                          run(test, /*fit=*/false, &test_mode));
+    TSFM_ASSIGN_OR_RETURN(Tensor test_logits, run(test, /*fit=*/false));
     result.test_accuracy = data::Accuracy(Predict(test_logits), test);
-    // "cache" only when the encoder truly never ran for either split.
-    result.embed_mode = (train_mode == "cache" && test_mode == "cache")
-                            ? "cache"
-                            : result.embed_mode;
     result.total_seconds = SecondsSince(t_start);
     return result;
   }

@@ -2,7 +2,6 @@
 #define TSFM_FINETUNE_FINETUNE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/adapter.h"
@@ -57,11 +56,6 @@ struct FineTuneResult {
   double adapter_fit_seconds = 0.0;
   double train_seconds = 0.0;
   double total_seconds = 0.0;
-  /// How the no-grad encoder forwards actually ran: "eager", or "cache"
-  /// when every dataset embedding came from the embedding cache and the
-  /// encoder never executed. Surfaces in the run report's "execution"
-  /// section.
-  std::string embed_mode = "eager";
   /// Wall-clock per stage (normalize/adapt/embed/head) in first-run order,
   /// each summed over the run's train and test passes. Becomes the run
   /// report's "stages" section.

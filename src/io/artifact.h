@@ -30,7 +30,7 @@ Status WriteFileAtomic(const std::string& path,
 Status WriteFileAtomic(const std::string& path, std::string_view contents);
 
 /// Durable artifact container (format v2) shared by checkpoints, adapter
-/// files, classifier stats and embedding-cache entries:
+/// files and classifier stats:
 ///
 ///   u64 magic           type tag ("TSFMCKP2", "TSFMADP2", ...)
 ///   u32 version         format version of the payload

@@ -59,7 +59,7 @@ void AppendKeyNumber(std::string* out, const char* key, double value) {
 
 std::string RenderRunReportJson(const RunReport& r) {
   std::string out = "{\n";
-  out += "\"schema_version\":2,\n\"run\":{";
+  out += "\"schema_version\":3,\n\"run\":{";
   AppendKeyString(&out, "command", r.command);
   out += ",";
   AppendKeyString(&out, "model", r.model);
@@ -127,10 +127,6 @@ std::string RenderRunReportJson(const RunReport& r) {
   AppendKeyNumber(&out, "pool_hits", r.mem_pool_hits);
   out += ",";
   AppendKeyNumber(&out, "heap_allocs", r.mem_heap_allocs);
-  out += "},\n";
-
-  out += "\"execution\":{";
-  AppendKeyString(&out, "embed_mode", r.embed_mode);
   out += "},\n";
 
   out += "\"result\":{";

@@ -57,9 +57,6 @@ struct RunReport {
   double mem_pool_hits = 0;
   double mem_heap_allocs = 0;
 
-  // execution: how the encoder forwards ran.
-  std::string embed_mode = "eager";  // "eager" | "cache"
-
   // result: finetune::FineTuneResult of the run.
   double train_accuracy = 0;
   double test_accuracy = 0;
@@ -81,7 +78,7 @@ struct RunReport {
   BudgetVerdict budget;
 };
 
-/// The report as a JSON document (schema_version 2; validated by
+/// The report as a JSON document (schema_version 3; validated by
 /// tools/check_report.py).
 std::string RenderRunReportJson(const RunReport& report);
 

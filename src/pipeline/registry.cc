@@ -47,6 +47,17 @@ Status SaveFittedBundle(const std::string& prefix, const core::Adapter* adapter,
                            kStatsVersion, os.str());
 }
 
+Result<std::optional<core::AdapterKind>> SavedAdapterKind(
+    const std::string& prefix) {
+  Result<std::unique_ptr<core::Adapter>> adapter =
+      core::LoadAdapter(AdapterArtifactPath(prefix));
+  if (adapter.status().code() == StatusCode::kNotFound) {
+    return std::optional<core::AdapterKind>();
+  }
+  TSFM_RETURN_IF_ERROR(adapter.status());
+  return std::optional<core::AdapterKind>((*adapter)->kind());
+}
+
 Result<FittedBundle> LoadFittedBundle(const std::string& prefix,
                                       bool expect_adapter,
                                       int64_t embedding_dim,

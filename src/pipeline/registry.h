@@ -46,6 +46,12 @@ struct FittedBundle {
   data::ChannelStats stats;
 };
 
+/// The adapter a bundle under `prefix` was saved with: nullopt when
+/// `<prefix>.adapter` does not exist, otherwise the kind its artifact
+/// records. IoError when that artifact is corrupt.
+Result<std::optional<core::AdapterKind>> SavedAdapterKind(
+    const std::string& prefix);
+
 /// Reads a bundle written by SaveFittedBundle. `expect_adapter` selects
 /// whether `<prefix>.adapter` must exist; `embedding_dim`/`num_classes`
 /// shape the head the checkpoint is loaded into.

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <utility>
 
 #include "common/check.h"
-#include "io/embed_cache.h"
-#include "io/hash.h"
 #include "obs/budget.h"
 #include "obs/trace.h"
 #include "optim/optim.h"
@@ -116,16 +113,7 @@ Result<Tensor> EmbedStage::Apply(const Tensor& x,
   if (x.ndim() != 3) {
     return Status::InvalidArgument("embed stage expects (N, T, D)");
   }
-  std::string mode = "eager";
-  Tensor emb;
-  if (ctx.allow_embed_cache) {
-    emb = EmbedDatasetCached(*model_, x, ctx.batch_size, ctx.cache_salt,
-                             ctx.cache_stats, &mode);
-  } else {
-    // Per-request path: never hash the model per call.
-    emb = EmbedDataset(*model_, x, ctx.batch_size);
-  }
-  if (ctx.embed_mode != nullptr) *ctx.embed_mode = mode;
+  Tensor emb = EmbedDataset(*model_, x, ctx.batch_size);
   // A tripped budget leaves `emb` empty; surface the diagnosis instead of
   // handing a truncated tensor to the next stage.
   TSFM_RETURN_IF_ERROR(obs::CheckBudget("finetune.embed_dataset"));
@@ -236,60 +224,6 @@ Tensor EmbedDataset(const models::FoundationModel& model, const Tensor& x,
   });
   if (obs::BudgetTripped()) return Tensor();
   return Concat(chunks, 0);
-}
-
-std::string EmbedCacheKey(const models::FoundationModel& model,
-                          const Tensor& x, int64_t batch_size,
-                          const std::string& salt,
-                          const data::ChannelStats* stats) {
-  // The encoder is frozen on this path, so the embedding is a pure function
-  // of the weights, the (normalized, adapter-transformed) input, and the
-  // batch split. Hash exactly those; the salt folds in strategy/adapter tags
-  // so unrelated pipelines can never share an entry even on a hash fluke,
-  // and the normalization statistics are keyed explicitly so a refit with
-  // different train stats on the same raw tensor can never hit a stale
-  // entry.
-  io::HashBuilder key;
-  key.AddString("tsfm.embed.v5");
-  key.AddString(salt);
-  key.AddU64(static_cast<uint64_t>(batch_size));
-  if (stats != nullptr && stats->mean.numel() > 0) {
-    key.AddString("stats");
-    key.AddTensor(stats->mean);
-    key.AddTensor(stats->std);
-  } else {
-    key.AddString("no_stats");
-  }
-  for (const auto& [name, p] : model.NamedParameters()) {
-    key.AddString(name);
-    key.AddTensor(p.value());
-  }
-  key.AddTensor(x);
-  return key.HexDigest();
-}
-
-Tensor EmbedDatasetCached(const models::FoundationModel& model,
-                          const Tensor& x, int64_t batch_size,
-                          const std::string& salt,
-                          const data::ChannelStats* stats, std::string* mode) {
-  if (mode != nullptr) *mode = "eager";
-  if (!io::EmbedCacheEnabled()) {
-    return EmbedDataset(model, x, batch_size);
-  }
-  const std::string digest = EmbedCacheKey(model, x, batch_size, salt, stats);
-  if (Result<Tensor> hit = io::EmbedCacheLookup(digest); hit.ok()) {
-    if (mode != nullptr) *mode = "cache";
-    return std::move(hit).value();
-  }
-  Tensor emb = EmbedDataset(model, x, batch_size);
-  if (!obs::BudgetTripped() && emb.numel() > 0) {
-    if (Status s = io::EmbedCacheStore(digest, emb); !s.ok()) {
-      // A failed store never fails the run; the embedding is already here.
-      std::fprintf(stderr, "embed cache store failed: %s\n",
-                   s.ToString().c_str());
-    }
-  }
-  return emb;
 }
 
 }  // namespace tsfm::pipeline

@@ -17,9 +17,9 @@
 
 namespace tsfm::pipeline {
 
-/// What one fit run hands every stage call: batching, the embedding-cache
-/// opt-in and key parts, the shuffling stream and the epoch callback. Plain
-/// value type: drivers copy it and tweak fields per pass.
+/// What one fit run hands every stage call: batching, the shuffling stream
+/// and the epoch callback. Plain value type: drivers copy it and tweak
+/// fields per pass.
 struct ExecutionContext {
   /// Mini-batch size for stages that process samples in chunks (embed, head
   /// training).
@@ -27,21 +27,10 @@ struct ExecutionContext {
   /// Seed of HeadStage::Fit's batching stream when `rng` is unset.
   uint64_t seed = 0;
 
-  /// Allow EmbedStage to serve/store dataset embeddings through the
-  /// content-addressed cache (io::EmbedCache*). Off for per-request
-  /// inference, on for dataset-level fine-tune embeds.
+  // Read by nothing; kept because perfbench/worker.cc still assigns them.
   bool allow_embed_cache = false;
-  /// Strategy/adapter tag folded into the embed cache key so unrelated
-  /// runs can never share an entry even on a hash fluke.
   std::string cache_salt;
-  /// Normalization statistics the input was produced with; folded into the
-  /// embed cache key so a refit with different train stats on the same raw
-  /// tensor can never hit a stale entry. Null when no normalization ran.
   const data::ChannelStats* cache_stats = nullptr;
-
-  /// When non-null, receives how the embed stage actually ran: "cache" on a
-  /// cache hit, otherwise "eager".
-  std::string* embed_mode = nullptr;
 
   /// Batching/shuffling stream for training stages; falls back to a local
   /// Rng(seed) when null. Drivers pass their own stream to preserve exact
@@ -72,9 +61,7 @@ class NormalizeStage {
   /// FailedPrecondition before Fit.
   Result<Tensor> Apply(const Tensor& x, const ExecutionContext& ctx) const;
 
-  /// Fitted statistics. The reference stays valid for the stage's lifetime,
-  /// so drivers can point ExecutionContext::cache_stats at it before Fit has
-  /// run.
+  /// Fitted statistics (empty before Fit).
   const data::ChannelStats& stats() const { return stats_; }
 
  private:
@@ -102,9 +89,8 @@ class AdaptStage {
   double last_fit_seconds_ = 0;
 };
 
-/// Frozen-encoder embedding: (N, T, D') -> (N, E) in batch_size chunks,
-/// optionally through the content-addressed embedding cache. The encoder is
-/// pretrained and frozen, so Fit does nothing.
+/// Frozen-encoder embedding: (N, T, D') -> (N, E) in batch_size chunks.
+/// The encoder is pretrained and frozen, so Fit does nothing.
 class EmbedStage {
  public:
   explicit EmbedStage(std::shared_ptr<const models::FoundationModel> model);
@@ -155,28 +141,6 @@ class HeadStage {
 /// an empty tensor when the live resource budget tripped mid-pass.
 Tensor EmbedDataset(const models::FoundationModel& model, const Tensor& x,
                     int64_t batch_size);
-
-/// Content hash keying one dataset embedding in the cache: model parameters,
-/// the (normalized, adapter-transformed) input tensor, the batch split, the
-/// caller's strategy/adapter salt, and — when `stats` is non-null — the
-/// normalization statistics the input was produced with, so a refit with
-/// different train stats on the same raw tensor can never hit a stale entry.
-/// Exposed for key-regression tests.
-std::string EmbedCacheKey(const models::FoundationModel& model,
-                          const Tensor& x, int64_t batch_size,
-                          const std::string& salt,
-                          const data::ChannelStats* stats);
-
-/// `EmbedDataset` behind the content-addressed embedding cache. With the
-/// cache disabled this is exactly `EmbedDataset`; a hit skips the encoder
-/// entirely and is bit-identical to the miss path. Results of budget-aborted
-/// passes are never stored. When `mode` is non-null it receives "cache" on a
-/// hit, otherwise "eager".
-Tensor EmbedDatasetCached(const models::FoundationModel& model,
-                          const Tensor& x, int64_t batch_size,
-                          const std::string& salt,
-                          const data::ChannelStats* stats,
-                          std::string* mode);
 
 }  // namespace tsfm::pipeline
 

@@ -200,7 +200,7 @@ TEST(ClassifierTest, FitAssemblesAndWritesRunReport) {
   ASSERT_TRUE(is.good());
   std::stringstream buf;
   buf << is.rdbuf();
-  EXPECT_NE(buf.str().find("\"schema_version\":2"), std::string::npos);
+  EXPECT_NE(buf.str().find("\"schema_version\":3"), std::string::npos);
   EXPECT_NE(buf.str().find("\"estimate\""), std::string::npos);
   std::remove(clf->last_report_path().c_str());
 }

@@ -182,6 +182,48 @@ TEST_F(DeterminismTest, JointStep) {
       "lcomb joint fit (lcomb weight, head)");
 }
 
+// A short embed-once fit: the PCA fit, both splits' embed passes and the
+// head epochs on their embeddings must give the same head bits, accuracies
+// and final loss at any thread count.
+TEST_F(DeterminismTest, EmbedOnceFit) {
+  data::UeaDatasetSpec spec{"embed_toy", "et", 16, 8, 6, 64, 2, 2};
+  const data::DatasetPair pair =
+      data::GenerateUeaLike(spec, 18, data::GeneratorCaps{});
+  Rng rng(19);
+  models::MomentModel moment(models::MomentSmallConfig(), &rng);
+  core::AdapterOptions adapter_options;
+  adapter_options.out_channels = 3;
+  finetune::FineTuneOptions options;
+  options.head_epochs = 4;
+  options.batch_size = 8;
+  std::vector<finetune::FineTuneResult> results;
+  ExpectBitIdentical(
+      [&] {
+        auto adapter =
+            core::CreateAdapter(core::AdapterKind::kPca, adapter_options);
+        Rng head_rng(20);
+        models::ClassificationHead head(moment.embedding_dim(),
+                                        spec.classes, &head_rng);
+        auto result = finetune::FineTuneWithHead(
+            &moment, adapter.get(), &head, pair.train, pair.test, options);
+        EXPECT_TRUE(result.ok()) << result.status().ToString();
+        if (result.ok()) results.push_back(*result);
+        std::vector<Tensor> params;
+        for (const auto& p : head.Parameters()) {
+          params.push_back(p.value().Reshape({-1}));
+        }
+        return Concat(params, 0);
+      },
+      "embed-once PCA fit (head)");
+  ASSERT_EQ(results.size(), std::size(kThreadCounts));
+  for (size_t i = 1; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].train_accuracy, results[0].train_accuracy);
+    EXPECT_EQ(results[i].test_accuracy, results[0].test_accuracy);
+    EXPECT_EQ(results[i].final_loss, results[0].final_loss)
+        << "at " << kThreadCounts[i] << " threads";
+  }
+}
+
 // Regression test for the removed `a == 0` skip in MatMul's inner loop:
 // IEEE 754 requires 0 * NaN == NaN, so a NaN in B must poison every
 // output that multiplies it — even against a zero in A.

@@ -1,8 +1,7 @@
-// Durable artifact store: atomic writes, CRC-validated containers, the
-// content-addressed embedding cache, and the corruption matrix — every
-// truncation, bit flip, oversized length field or stale-magic file must come
-// back as an error Status, never a crash or a gigabyte allocation, and a
-// cache hit must be bit-identical to the miss path at any thread count.
+// Durable artifact store: atomic writes, CRC-validated containers, and the
+// corruption matrix — every truncation, bit flip, oversized length field or
+// stale-magic file must come back as an error Status, never a crash or a
+// gigabyte allocation.
 
 #include <cstdint>
 #include <cstring>
@@ -17,17 +16,9 @@
 #include "common/rng.h"
 #include "core/adapter.h"
 #include "core/io_util.h"
-#include "data/uea_like.h"
-#include "finetune/finetune.h"
-#include "pipeline/stages.h"
 #include "io/artifact.h"
-#include "io/embed_cache.h"
-#include "io/hash.h"
-#include "models/moment.h"
 #include "nn/layers.h"
 #include "nn/serialize.h"
-#include "obs/metrics.h"
-#include "runtime/thread_pool.h"
 #include "tensor/tensor.h"
 
 namespace tsfm {
@@ -69,32 +60,6 @@ void WriteAll(const std::string& path, const std::string& bytes) {
 void AppendU64(std::string* out, uint64_t v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
-
-uint64_t CounterValue(const char* name) {
-  return obs::Registry::Instance().GetCounter(name)->value();
-}
-
-// Scopes the embedding cache to a private directory and restores the
-// process-wide configuration afterwards, so io_test never leaks cache state
-// into other tests (or picks up a TSFM_CACHE_DIR from the environment).
-class CacheDirGuard {
- public:
-  explicit CacheDirGuard(const std::string& name, int64_t max_bytes = 0)
-      : dir_(FreshDir(name)) {
-    io::SetEmbedCacheDir(dir_);
-    io::SetEmbedCacheMaxBytes(max_bytes);
-  }
-  ~CacheDirGuard() {
-    io::SetEmbedCacheDir("");
-    io::SetEmbedCacheMaxBytes(0);
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-  const std::string& dir() const { return dir_; }
-
- private:
-  std::string dir_;
-};
 
 // ---------------------------------------------------------------------------
 // CRC-32
@@ -477,256 +442,6 @@ TEST(IoUtilTest, ReadTensorRejectsNonPositiveAndOversizedDims) {
     Tensor t;
     EXPECT_FALSE(core::io::ReadTensor(&is, &t).ok());
   }
-}
-
-// ---------------------------------------------------------------------------
-// Content hash
-// ---------------------------------------------------------------------------
-
-TEST(HashBuilderTest, DeterministicAndWellFormed) {
-  io::HashBuilder a, b;
-  a.AddString("hello");
-  a.AddU64(42);
-  b.AddString("hello");
-  b.AddU64(42);
-  EXPECT_EQ(a.HexDigest(), b.HexDigest());
-  EXPECT_EQ(a.HexDigest().size(), 32u);
-  EXPECT_EQ(a.HexDigest().find_first_not_of("0123456789abcdef"),
-            std::string::npos);
-}
-
-TEST(HashBuilderTest, FieldBoundariesDoNotAlias) {
-  io::HashBuilder ab_c, a_bc;
-  ab_c.AddString("ab");
-  ab_c.AddString("c");
-  a_bc.AddString("a");
-  a_bc.AddString("bc");
-  EXPECT_NE(ab_c.HexDigest(), a_bc.HexDigest());
-}
-
-TEST(HashBuilderTest, TensorShapeMatters) {
-  Rng rng(5);
-  Tensor t = Tensor::RandN({2, 3}, &rng);
-  Tensor r = t.Reshape({3, 2});
-  io::HashBuilder h1, h2;
-  h1.AddTensor(t);
-  h2.AddTensor(r);
-  EXPECT_NE(h1.HexDigest(), h2.HexDigest());
-}
-
-// ---------------------------------------------------------------------------
-// Embedding cache
-// ---------------------------------------------------------------------------
-
-TEST(EmbedCacheTest, DisabledByDefault) {
-  io::SetEmbedCacheDir("");
-  if (io::EmbedCacheEnabled()) {
-    GTEST_SKIP() << "TSFM_CACHE_DIR set in the environment";
-  }
-  auto miss = io::EmbedCacheLookup("0123456789abcdef0123456789abcdef");
-  EXPECT_FALSE(miss.ok());
-}
-
-TEST(EmbedCacheTest, StoreLookupRoundTripIsBitIdentical) {
-  CacheDirGuard cache("embed_cache_roundtrip");
-  Rng rng(5);
-  const Tensor t = Tensor::RandN({4, 7}, &rng);
-  const std::string key = "00112233445566778899aabbccddeeff";
-
-  const uint64_t miss0 = CounterValue("cache.miss");
-  auto miss = io::EmbedCacheLookup(key);
-  EXPECT_FALSE(miss.ok());
-  EXPECT_EQ(miss.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(CounterValue("cache.miss"), miss0 + 1);
-
-  ASSERT_TRUE(io::EmbedCacheStore(key, t).ok());
-  const uint64_t hit0 = CounterValue("cache.hit");
-  auto hit = io::EmbedCacheLookup(key);
-  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
-  EXPECT_EQ(CounterValue("cache.hit"), hit0 + 1);
-  ASSERT_EQ(hit->ndim(), t.ndim());
-  for (int64_t d = 0; d < t.ndim(); ++d) EXPECT_EQ(hit->dim(d), t.dim(d));
-  EXPECT_EQ(std::memcmp(hit->Contiguous().data(), t.Contiguous().data(),
-                        static_cast<size_t>(t.numel()) * sizeof(float)),
-            0);
-}
-
-TEST(EmbedCacheTest, CorruptEntryIsReportedAndDeleted) {
-  CacheDirGuard cache("embed_cache_corrupt");
-  Rng rng(5);
-  const std::string key = "ffeeddccbbaa99887766554433221100";
-  ASSERT_TRUE(io::EmbedCacheStore(key, Tensor::RandN({8}, &rng)).ok());
-
-  const std::string entry = cache.dir() + "/" + key + ".emb";
-  std::string bytes = ReadAll(entry);
-  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
-  WriteAll(entry, bytes);
-
-  const uint64_t corrupt0 = CounterValue("cache.corrupt");
-  auto lookup = io::EmbedCacheLookup(key);
-  EXPECT_FALSE(lookup.ok());
-  EXPECT_EQ(lookup.status().code(), StatusCode::kIoError);
-  EXPECT_EQ(CounterValue("cache.corrupt"), corrupt0 + 1);
-  EXPECT_FALSE(fs::exists(entry)) << "corrupt entry must be evicted";
-  // The corrupt entry is gone, so the next lookup is a clean miss.
-  EXPECT_EQ(io::EmbedCacheLookup(key).status().code(), StatusCode::kNotFound);
-}
-
-TEST(EmbedCacheTest, LruEvictionRespectsSizeCap) {
-  CacheDirGuard cache("embed_cache_lru");
-  Rng rng(5);
-  const Tensor t = Tensor::RandN({256}, &rng);  // ~1 KiB per entry
-  const std::string a = "aa112233445566778899aabbccddeeff";
-  const std::string b = "bb112233445566778899aabbccddeeff";
-  const std::string c = "cc112233445566778899aabbccddeeff";
-  ASSERT_TRUE(io::EmbedCacheStore(a, t).ok());
-  ASSERT_TRUE(io::EmbedCacheStore(b, t).ok());
-
-  // Make the LRU order deterministic regardless of filesystem timestamp
-  // granularity: entry `a` is clearly the oldest.
-  const auto now = fs::last_write_time(cache.dir() + "/" + b + ".emb");
-  fs::last_write_time(cache.dir() + "/" + a + ".emb",
-                      now - std::chrono::seconds(10));
-
-  const int64_t entry_bytes =
-      static_cast<int64_t>(fs::file_size(cache.dir() + "/" + a + ".emb"));
-  io::SetEmbedCacheMaxBytes(2 * entry_bytes + entry_bytes / 2);
-  const uint64_t evict0 = CounterValue("cache.evictions");
-  ASSERT_TRUE(io::EmbedCacheStore(c, t).ok());
-
-  EXPECT_EQ(io::EmbedCacheLookup(a).status().code(), StatusCode::kNotFound)
-      << "oldest entry should have been evicted";
-  EXPECT_TRUE(io::EmbedCacheLookup(b).ok());
-  EXPECT_TRUE(io::EmbedCacheLookup(c).ok());
-  EXPECT_GE(CounterValue("cache.evictions"), evict0 + 1);
-}
-
-TEST(EmbedCacheTest, ScanAndClear) {
-  CacheDirGuard cache("embed_cache_scan");
-  Rng rng(5);
-  const std::string a = "0a112233445566778899aabbccddeeff";
-  const std::string b = "0b112233445566778899aabbccddeeff";
-  ASSERT_TRUE(io::EmbedCacheStore(a, Tensor::RandN({16}, &rng)).ok());
-  ASSERT_TRUE(io::EmbedCacheStore(b, Tensor::RandN({16}, &rng)).ok());
-
-  auto entries = io::EmbedCacheScan(cache.dir(), /*verify=*/true);
-  ASSERT_EQ(entries.size(), 2u);
-  for (const auto& e : entries) {
-    EXPECT_TRUE(e.valid) << e.key;
-    EXPECT_GT(e.bytes, 0);
-  }
-
-  // Corrupt one entry; a verifying scan must flag it (but keep it — only a
-  // lookup or `tsfm cache clear` removes files).
-  const std::string entry = cache.dir() + "/" + a + ".emb";
-  std::string bytes = ReadAll(entry);
-  bytes.back() = static_cast<char>(bytes.back() ^ 1);
-  WriteAll(entry, bytes);
-  entries = io::EmbedCacheScan(cache.dir(), /*verify=*/true);
-  ASSERT_EQ(entries.size(), 2u);
-  int invalid = 0;
-  for (const auto& e : entries) invalid += e.valid ? 0 : 1;
-  EXPECT_EQ(invalid, 1);
-
-  auto removed = io::EmbedCacheClear(cache.dir());
-  ASSERT_TRUE(removed.ok());
-  EXPECT_EQ(*removed, 2);
-  EXPECT_TRUE(io::EmbedCacheScan(cache.dir(), false).empty());
-}
-
-// ---------------------------------------------------------------------------
-// Cached embedding path: bit-identical to the miss path, at any thread count
-// ---------------------------------------------------------------------------
-
-data::DatasetPair SmallProblem(uint64_t seed = 1) {
-  data::UeaDatasetSpec spec{"toy", "toy", 48, 32, 8, 32, 2, 3};
-  return data::GenerateUeaLike(spec, seed, data::GeneratorCaps{});
-}
-
-std::shared_ptr<models::MomentModel> TinyMoment(uint64_t seed = 11) {
-  Rng rng(seed);
-  auto model =
-      std::make_shared<models::MomentModel>(models::MomentTestConfig(), &rng);
-  models::PretrainOptions po;
-  po.corpus_size = 48;
-  po.series_length = 32;
-  po.epochs = 2;
-  EXPECT_TRUE(model->Pretrain(po).ok());
-  return model;
-}
-
-TEST(EmbedCacheTest, EmbedDatasetCachedHitMatchesMissBitwise) {
-  auto model = TinyMoment();
-  auto pair = SmallProblem();
-  const Tensor x = pair.train.x;
-
-  // Reference: the plain (uncached) embed pass.
-  io::SetEmbedCacheDir("");
-  const Tensor plain = pipeline::EmbedDataset(*model, x, 16);
-
-  CacheDirGuard cache("embed_cache_dataset");
-  const uint64_t store0 = CounterValue("cache.store");
-  const Tensor miss =
-      pipeline::EmbedDatasetCached(*model, x, 16, "t", nullptr, nullptr);
-  EXPECT_EQ(CounterValue("cache.store"), store0 + 1);
-  const uint64_t hit0 = CounterValue("cache.hit");
-  const Tensor hit =
-      pipeline::EmbedDatasetCached(*model, x, 16, "t", nullptr, nullptr);
-  EXPECT_EQ(CounterValue("cache.hit"), hit0 + 1);
-
-  ASSERT_EQ(plain.numel(), miss.numel());
-  ASSERT_EQ(plain.numel(), hit.numel());
-  const size_t bytes = static_cast<size_t>(plain.numel()) * sizeof(float);
-  EXPECT_EQ(std::memcmp(plain.Contiguous().data(), miss.Contiguous().data(),
-                        bytes),
-            0);
-  EXPECT_EQ(std::memcmp(plain.Contiguous().data(), hit.Contiguous().data(),
-                        bytes),
-            0);
-
-  // A different salt (strategy/adapter tag) must not collide.
-  const uint64_t store1 = CounterValue("cache.store");
-  pipeline::EmbedDatasetCached(*model, x, 16, "other", nullptr, nullptr);
-  EXPECT_EQ(CounterValue("cache.store"), store1 + 1);
-}
-
-TEST(EmbedCacheTest, FineTuneSecondRunHitsCacheWithIdenticalAccuracy) {
-  const int saved_threads = runtime::NumThreads();
-  auto model = TinyMoment();
-  auto pair = SmallProblem();
-  finetune::FineTuneOptions options;
-  options.strategy = finetune::Strategy::kHeadOnly;
-  options.head_epochs = 40;
-  options.batch_size = 16;
-
-  CacheDirGuard cache("embed_cache_finetune");
-  auto cold = finetune::FineTune(model.get(), nullptr, pair.train, pair.test,
-                                 options);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-
-  // Second identical run: both embed passes (train + test) must come from
-  // the cache and the result must be bit-identical, not merely close.
-  const uint64_t hit0 = CounterValue("cache.hit");
-  auto warm = finetune::FineTune(model.get(), nullptr, pair.train, pair.test,
-                                 options);
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  EXPECT_GE(CounterValue("cache.hit"), hit0 + 2);
-  EXPECT_EQ(cold->test_accuracy, warm->test_accuracy);
-  EXPECT_EQ(cold->train_accuracy, warm->train_accuracy);
-  EXPECT_EQ(cold->final_loss, warm->final_loss);
-
-  // And a run at a different thread count must hit the same entries (the
-  // key hashes content, not schedule) with the same exact numbers.
-  runtime::SetNumThreads(3);
-  const uint64_t hit1 = CounterValue("cache.hit");
-  auto threaded = finetune::FineTune(model.get(), nullptr, pair.train,
-                                     pair.test, options);
-  runtime::SetNumThreads(saved_threads);
-  ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
-  EXPECT_GE(CounterValue("cache.hit"), hit1 + 2);
-  EXPECT_EQ(cold->test_accuracy, threaded->test_accuracy);
-  EXPECT_EQ(cold->train_accuracy, threaded->train_accuracy);
-  EXPECT_EQ(cold->final_loss, threaded->final_loss);
 }
 
 }  // namespace

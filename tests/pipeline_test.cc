@@ -1,7 +1,6 @@
-// Tests of the pipeline layer: the four stages, the embed-cache key
-// (normalization statistics must be part of it), fitted-bundle persistence,
+// Tests of the pipeline layer: the four stages, fitted-bundle persistence,
 // and the fitted round trip Save -> Load -> Predict staying bit-identical
-// for every adapter kind, with and without the embedding cache.
+// for every adapter kind and for none.
 
 #include <cstdio>
 #include <cstring>
@@ -11,7 +10,6 @@
 
 #include "data/uea_like.h"
 #include "finetune/classifier.h"
-#include "io/embed_cache.h"
 #include "pipeline/registry.h"
 #include "pipeline/session.h"
 #include "pipeline/stages.h"
@@ -43,25 +41,6 @@ std::shared_ptr<models::MomentModel> TinyMoment(uint64_t seed = 11) {
 std::string TempPath(const std::string& leaf) {
   return (std::filesystem::temp_directory_path() / leaf).string();
 }
-
-// Scoped embed-cache directory (fresh per test, removed afterwards).
-class CacheDirGuard {
- public:
-  explicit CacheDirGuard(const std::string& leaf) : dir_(TempPath(leaf)) {
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-    io::SetEmbedCacheDir(dir_);
-  }
-  ~CacheDirGuard() {
-    io::SetEmbedCacheDir("");
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
-  const std::string& dir() const { return dir_; }
-
- private:
-  std::string dir_;
-};
 
 bool BitIdentical(const Tensor& a, const Tensor& b) {
   if (a.numel() != b.numel()) return false;
@@ -165,39 +144,6 @@ TEST(PipelineStagesTest, EmbedAndHeadStagesComposeToLogits) {
 }
 
 // ---------------------------------------------------------------------------
-// Embed-cache key: normalization statistics are part of the key
-
-TEST(EmbedCacheKeyTest, StatsChangeTheKey) {
-  auto model = TinyMoment();
-  auto pair = Problem(8);
-  const Tensor& x = pair.train.x;
-
-  const data::ChannelStats stats_a = data::ComputeChannelStats(pair.train);
-  const data::ChannelStats stats_b = data::ComputeChannelStats(pair.test);
-
-  const std::string no_stats =
-      pipeline::EmbedCacheKey(*model, x, 16, "salt", nullptr);
-  const std::string with_a =
-      pipeline::EmbedCacheKey(*model, x, 16, "salt", &stats_a);
-  const std::string with_a2 =
-      pipeline::EmbedCacheKey(*model, x, 16, "salt", &stats_a);
-  const std::string with_b =
-      pipeline::EmbedCacheKey(*model, x, 16, "salt", &stats_b);
-
-  // Deterministic for equal inputs...
-  EXPECT_EQ(with_a, with_a2);
-  // ...but different stats (a refit with different train statistics on the
-  // same raw tensor) must never alias the same cache entry.
-  EXPECT_NE(with_a, no_stats);
-  EXPECT_NE(with_a, with_b);
-  EXPECT_NE(with_b, no_stats);
-
-  // The other key ingredients still matter too.
-  EXPECT_NE(with_a, pipeline::EmbedCacheKey(*model, x, 8, "salt", &stats_a));
-  EXPECT_NE(with_a, pipeline::EmbedCacheKey(*model, x, 16, "other", &stats_a));
-}
-
-// ---------------------------------------------------------------------------
 // Registry: artifact naming, bundle persistence, hot swap
 
 TEST(RegistryTest, ArtifactNaming) {
@@ -290,13 +236,12 @@ TEST(RegistryTest, LoadAndInstallServesSavedClassifier) {
 
 // ---------------------------------------------------------------------------
 // Fitted round trip: Save -> Load -> Predict bit-identical to the pre-save
-// classifier, for every adapter kind, with and without the embedding cache.
+// classifier, for every adapter kind and for none.
 
-void RunRoundTrip(std::optional<core::AdapterKind> kind, bool with_cache) {
+void RunRoundTrip(std::optional<core::AdapterKind> kind) {
   SCOPED_TRACE(testing::Message()
                << "adapter="
-               << (kind.has_value() ? core::AdapterKindName(*kind) : "none")
-               << " cache=" << with_cache);
+               << (kind.has_value() ? core::AdapterKindName(*kind) : "none"));
   ClassifierConfig config;
   config.model_kind = models::ModelKind::kVit;
   config.model_config = models::VitTestConfig();
@@ -309,9 +254,6 @@ void RunRoundTrip(std::optional<core::AdapterKind> kind, bool with_cache) {
   config.adapter_options.out_channels = 3;
   // Shared checkpoint: pretrain once, reload for every variant.
   config.checkpoint_path = TempPath("pipe_roundtrip_ckpt.tsfm");
-
-  std::unique_ptr<CacheDirGuard> cache;
-  if (with_cache) cache = std::make_unique<CacheDirGuard>("pipe_roundtrip");
 
   auto clf = TsfmClassifier::Create(config);
   ASSERT_TRUE(clf.ok()) << clf.status().ToString();
@@ -327,9 +269,12 @@ void RunRoundTrip(std::optional<core::AdapterKind> kind, bool with_cache) {
 
   const std::string prefix =
       TempPath(std::string("pipe_roundtrip_") +
-               (kind.has_value() ? core::AdapterKindName(*kind) : "none") +
-               (with_cache ? "_c" : "_p"));
+               (kind.has_value() ? core::AdapterKindName(*kind) : "none"));
   ASSERT_TRUE(clf->Save(prefix).ok());
+  // The bundle records its adapter kind, or none.
+  auto saved_kind = pipeline::SavedAdapterKind(prefix);
+  ASSERT_TRUE(saved_kind.ok()) << saved_kind.status().ToString();
+  EXPECT_EQ(*saved_kind, kind);
 
   auto reloaded = TsfmClassifier::Create(config);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
@@ -348,18 +293,11 @@ void RunRoundTrip(std::optional<core::AdapterKind> kind, bool with_cache) {
   }
 }
 
-TEST(PipelineRoundTripTest, EveryAdapterKindWithoutCache) {
+TEST(PipelineRoundTripTest, EveryAdapterKindAndNone) {
   for (core::AdapterKind kind : core::AllAdapterKinds()) {
-    RunRoundTrip(kind, /*with_cache=*/false);
+    RunRoundTrip(kind);
   }
-  RunRoundTrip(std::nullopt, /*with_cache=*/false);
-}
-
-TEST(PipelineRoundTripTest, EveryAdapterKindWithCache) {
-  for (core::AdapterKind kind : core::AllAdapterKinds()) {
-    RunRoundTrip(kind, /*with_cache=*/true);
-  }
-  RunRoundTrip(std::nullopt, /*with_cache=*/true);
+  RunRoundTrip(std::nullopt);
 }
 
 }  // namespace

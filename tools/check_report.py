@@ -3,7 +3,7 @@
 
 Used by the CI `bench-regression` job after its `tsfm classify --report`
 smoke run, and handy locally after any run with TSFM_RUN_REPORT set. The
-report is hand-rendered JSON (schema_version 2, see src/obs/run_report.cc),
+report is hand-rendered JSON (schema_version 3, see src/obs/run_report.cc),
 so this script is the contract test: every section present, every field of
 the right type, and the cross-field invariants that make a report usable
 (headroom consistent with the verdict, epoch indices contiguous per phase).
@@ -56,12 +56,6 @@ MEMORY_FIELDS = {
     "heap_allocs": NUMBER,
 }
 
-EXECUTION_FIELDS = {
-    "embed_mode": str,
-}
-
-EMBED_MODES = {"eager", "cache"}
-
 RESULT_FIELDS = {
     "train_accuracy": NUMBER,
     "test_accuracy": NUMBER,
@@ -106,9 +100,9 @@ def check_fields(obj, fields, where, errors):
 
 
 def validate(report, errors):
-    if report.get("schema_version") != 2:
+    if report.get("schema_version") != 3:
         errors.append(
-            f"schema_version: expected 2, got {report.get('schema_version')!r}"
+            f"schema_version: expected 3, got {report.get('schema_version')!r}"
         )
     for section in (
         "run",
@@ -116,7 +110,6 @@ def validate(report, errors):
         "epochs",
         "stages",
         "measured_memory",
-        "execution",
         "result",
         "budget",
     ):
@@ -184,13 +177,6 @@ def validate(report, errors):
         if mem["pool_hits"] > mem["acquires"]:
             errors.append("measured_memory: pool_hits > acquires")
 
-    check_fields(report["execution"], EXECUTION_FIELDS, "execution", errors)
-    execution = report["execution"]
-    if isinstance(execution, dict):
-        mode = execution.get("embed_mode")
-        if mode not in EMBED_MODES:
-            errors.append(f"execution.embed_mode: unknown mode {mode!r}")
-
     check_fields(report["result"], RESULT_FIELDS, "result", errors)
     result = report["result"]
     if isinstance(result, dict):
@@ -249,7 +235,7 @@ def expand(paths):
 
 def main():
     parser = argparse.ArgumentParser(
-        description="Validate run-report JSON manifests (schema_version 2)."
+        description="Validate run-report JSON manifests (schema_version 3)."
     )
     parser.add_argument("paths", nargs="+",
                         help="report files or directories of them")

@@ -13,15 +13,14 @@
 //       persists the fitted bundle (<prefix>.adapter when there is an
 //       adapter, <prefix>.head, <prefix>.stats) for predict, serve and
 //       `pipeline describe`.
-//   tsfm cache list|verify|clear [--cache-dir dir]
-//       Maintain the embedding cache: list entries, re-check every CRC,
-//       or delete all entries. Defaults to TSFM_CACHE_DIR.
 //   tsfm predict --prefix saved_prefix --input data.csv --classes C
 //                 [--model moment|vit] [--adapter PCA|...|none] [--dprime 5]
 //                 [--checkpoint path] [--out labels.txt]
 //       Load a fitted bundle and print one predicted label per input sample
 //       (the offline reference the serve smoke diffs responses against).
-//       The saved adapter fixes D'; a --dprime given here or to `serve`
+//       The bundle fixes the adapter: with no --adapter, predict, serve and
+//       `pipeline describe` use the one it was saved with (none when there
+//       is no <prefix>.adapter), and an --adapter or --dprime given to them
 //       must match it.
 //   tsfm serve --prefix saved_prefix --classes C [--port 7070] [--host IP]
 //                 [--model moment|vit] [--adapter PCA|...|none] [--dprime 5]
@@ -38,13 +37,14 @@
 //       line per request (stderr/stdout/file, every Nth with --access-
 //       log-sample).
 //   tsfm serve reload --prefix new_prefix [--port 7070] [--host IP]
-//       Hot-swap a re-fitted bundle into a running server (zero downtime).
+//       Hot-swap a re-fitted bundle into a running server (zero downtime);
+//       its adapter kind must be the served bundle's.
 //   tsfm serve stats [--port 7070]   print the server's live metrics
 //   tsfm serve stop  [--port 7070]   ask the server to drain and exit
 //   tsfm serve-stats [--port 7070] [--follow] [--interval-ms 1000]
 //       Scrape a running server's metrics in Prometheus text exposition
 //       format (one shot, or repeatedly with --follow).
-//   tsfm pipeline describe --prefix saved_prefix [--classes 2]
+//   tsfm pipeline describe --prefix saved_prefix --classes C
 //                 [--model moment|vit] [--adapter PCA|...|none] [--dprime 5]
 //                 [--checkpoint path]
 //       Load a fitted bundle as predict does and print the stages its
@@ -68,10 +68,6 @@
 //   --time-budget SECS   Fine-tune runs stop with ResourceExhausted at the
 //                        cap; `estimate` judges the paper-scale prediction
 //                        against it (defaults: V100 32G / 7200s).
-//   --cache-dir DIR      content-addressed embedding cache: identical
-//                        frozen-encoder embed passes are served from disk
-//                        (same as TSFM_CACHE_DIR; watch cache.hit/cache.miss
-//                        in --metrics output)
 
 #include <algorithm>
 #include <atomic>
@@ -94,7 +90,6 @@
 
 #include "core/adapter.h"
 #include "data/csv.h"
-#include "io/embed_cache.h"
 #include "data/uea_like.h"
 #include "finetune/classifier.h"
 #include "obs/budget.h"
@@ -122,8 +117,8 @@ struct Args {
 
 // Flags every command accepts: the observability and runtime surface.
 constexpr std::string_view kGlobalFlags[] = {
-    "trace",   "profile",    "metrics",     "report",
-    "threads", "mem-budget", "time-budget", "cache-dir"};
+    "trace",   "profile",    "metrics",    "report",
+    "threads", "mem-budget", "time-budget"};
 // Flags that take no value.
 constexpr std::string_view kSwitches[] = {"full", "follow"};
 
@@ -154,7 +149,6 @@ const std::map<std::string, FlagList>& CommandFlags() {
       {"serve stats", {"host", "port"}},
       {"serve stop", {"host", "port"}},
       {"serve-stats", {"host", "port", "follow", "interval-ms"}},
-      {"cache", {}},
       {"pipeline",
        {"model", "checkpoint", "adapter", "dprime", "classes", "prefix"}},
   };
@@ -445,9 +439,15 @@ void OnServeSignal(int sig) {
   g_serve_signal.store(sig, std::memory_order_relaxed);
 }
 
+// "none" or the adapter kind's name, for messages.
+const char* AdapterLabel(std::optional<core::AdapterKind> kind) {
+  return kind.has_value() ? core::AdapterKindName(*kind) : "none";
+}
+
 // Loads the frozen model named by the args and installs the fitted bundle
-// under `--prefix` into the process registry as `name`. Shared by `predict`
-// and `serve`; on success the out-params describe what was installed.
+// under `--prefix` into the process registry as `name`. Shared by `predict`,
+// `serve` and `pipeline describe`; on success the out-params describe what
+// was installed.
 int LoadServingSession(
     const Args& args, const std::string& name, int64_t default_classes,
     std::shared_ptr<const models::FoundationModel>* model_out,
@@ -470,11 +470,6 @@ int LoadServingSession(
   config.checkpoint_path =
       GetOr(args, "checkpoint",
             std::string("checkpoints/cli_") + model_name + ".ckpt");
-  const std::string adapter_name = GetOr(args, "adapter", "PCA");
-  if (!ParseAdapter(adapter_name, &config)) {
-    std::fprintf(stderr, "unknown adapter '%s'\n", adapter_name.c_str());
-    return 1;
-  }
   int64_t classes = 0;
   int64_t dprime = 0;
   if (!GetNumber(args, "classes", default_classes, &classes) ||
@@ -485,6 +480,27 @@ int LoadServingSession(
     std::fprintf(stderr, "needs --classes (the fitted head's logit "
                          "count)\n");
     return 1;
+  }
+  // The bundle records its adapter; an --adapter that disagrees is a wrong
+  // bundle or a wrong command line, as a wrong --dprime is below.
+  auto saved = pipeline::SavedAdapterKind(prefix);
+  if (!saved.ok()) {
+    std::fprintf(stderr, "%s\n", saved.status().ToString().c_str());
+    return 1;
+  }
+  config.adapter = *saved;
+  if (const std::string adapter_name = GetOr(args, "adapter", "");
+      !adapter_name.empty()) {
+    if (!ParseAdapter(adapter_name, &config)) {
+      std::fprintf(stderr, "unknown adapter '%s'\n", adapter_name.c_str());
+      return 1;
+    }
+    if (config.adapter != *saved) {
+      std::fprintf(stderr, "--adapter %s does not match the bundle at %s, "
+                           "saved with adapter %s\n",
+                   adapter_name.c_str(), prefix.c_str(), AdapterLabel(*saved));
+      return 1;
+    }
   }
   auto model = models::LoadOrPretrain(config.model_kind, config.model_config,
                                       config.pretrain, config.checkpoint_path);
@@ -500,8 +516,6 @@ int LoadServingSession(
     std::fprintf(stderr, "%s\n", session.status().ToString().c_str());
     return 1;
   }
-  // The saved adapter fixes D'; a --dprime that disagrees is a wrong bundle
-  // or a wrong command line, not something to serve anyway.
   const core::Adapter* fitted = (*session)->adapter();
   if (args.values.count("dprime") && fitted != nullptr &&
       dprime != fitted->output_channels()) {
@@ -597,6 +611,14 @@ int CmdServeRun(const Args& args) {
   // adapter kind, and class count into the serving slot.
   options.reload_fn = [model, adapter, classes,
                        name](const std::string& prefix) -> Status {
+    TSFM_ASSIGN_OR_RETURN(std::optional<core::AdapterKind> saved,
+                          pipeline::SavedAdapterKind(prefix));
+    if (saved != adapter) {
+      return Status::InvalidArgument(
+          std::string("the bundle at ") + prefix + " was saved with adapter " +
+          AdapterLabel(saved) + ", but the served bundle has adapter " +
+          AdapterLabel(adapter));
+    }
     auto swapped = pipeline::Registry::Instance().LoadAndInstall(
         name, prefix, model, adapter, classes, pipeline::SessionOptions{});
     return swapped.ok() ? Status::OK() : swapped.status();
@@ -726,7 +748,7 @@ int CmdPipeline(const std::string& verb, const Args& args) {
   std::optional<core::AdapterKind> adapter;
   int64_t classes = 0;
   std::shared_ptr<const pipeline::InferenceSession> session;
-  if (int rc = LoadServingSession(args, "cli", 2, &model, &adapter, &classes,
+  if (int rc = LoadServingSession(args, "cli", 0, &model, &adapter, &classes,
                                   &session);
       rc != 0) {
     return rc;
@@ -744,60 +766,13 @@ int CmdPipeline(const std::string& verb, const Args& args) {
   return 0;
 }
 
-// Maintenance verbs for the embedding cache; the directory comes from
-// --cache-dir or TSFM_CACHE_DIR.
-int CmdCache(const std::string& verb, const Args& args) {
-  const std::string dir = GetOr(args, "cache-dir", io::EmbedCacheDir());
-  if (dir.empty()) {
-    std::fprintf(stderr,
-                 "cache %s needs --cache-dir or TSFM_CACHE_DIR\n",
-                 verb.c_str());
-    return 1;
-  }
-  if (verb == "clear") {
-    const auto removed = io::EmbedCacheClear(dir);
-    if (!removed.ok()) {
-      std::fprintf(stderr, "%s\n", removed.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("removed %lld entries from %s\n",
-                static_cast<long long>(*removed), dir.c_str());
-    return 0;
-  }
-  if (verb != "list" && verb != "verify") {
-    std::fprintf(stderr, "unknown cache verb '%s' (list|verify|clear)\n",
-                 verb.c_str());
-    return 1;
-  }
-  const bool verify = verb == "verify";
-  const auto entries = io::EmbedCacheScan(dir, verify);
-  int64_t total = 0;
-  int corrupt = 0;
-  std::printf("%-32s %12s%s\n", "key", "bytes", verify ? "  crc" : "");
-  for (const auto& e : entries) {
-    std::printf("%-32s %12lld%s\n", e.key.c_str(),
-                static_cast<long long>(e.bytes),
-                verify ? (e.valid ? "  ok" : "  CORRUPT") : "");
-    total += e.bytes;
-    if (verify && !e.valid) ++corrupt;
-  }
-  std::printf("%zu entries, %lld bytes in %s\n", entries.size(),
-              static_cast<long long>(total), dir.c_str());
-  if (corrupt > 0) {
-    std::fprintf(stderr, "%d corrupt entries\n", corrupt);
-    return 1;
-  }
-  return 0;
-}
-
 int Usage() {
   std::fprintf(stderr,
                "usage: tsfm <datasets|generate|estimate|classify|predict|"
-               "serve|serve-stats|cache|pipeline> [--args]\n"
+               "serve|serve-stats|pipeline> [--args]\n"
                "       [--trace out.json] [--profile out.txt|.json|.folded]\n"
                "       [--metrics [dest]] [--report [dir]] [--threads N]\n"
                "       [--mem-budget BYTES[K|M|G]] [--time-budget SECONDS]\n"
-               "       [--cache-dir DIR]\n"
                "see the header of tools/tsfm_cli.cc for details\n");
   return 1;
 }
@@ -806,7 +781,7 @@ int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   const bool has_verb =
-      (command == "serve" || command == "cache" || command == "pipeline") &&
+      (command == "serve" || command == "pipeline") &&
       argc > 2 && std::strncmp(argv[2], "--", 2) != 0;
   const std::string verb = has_verb ? argv[2] : "";
   const auto flags = CommandFlags().find(
@@ -848,11 +823,6 @@ int Main(int argc, char** argv) {
   }
   if (have_budget) obs::SetBudget(budget);
 
-  if (const std::string cache_dir = GetOr(args, "cache-dir", "");
-      !cache_dir.empty()) {
-    io::SetEmbedCacheDir(cache_dir);
-  }
-
   const std::string trace_path = GetOr(args, "trace", "");
   const std::string profile_path = GetOr(args, "profile", "");
   if (!trace_path.empty() || !profile_path.empty()) obs::EnableTracing();
@@ -874,8 +844,6 @@ int Main(int argc, char** argv) {
     std::signal(SIGTERM, OnServeSignal);
     std::signal(SIGINT, OnServeSignal);
     rc = CmdServeStats(args);
-  } else if (command == "cache") {
-    rc = CmdCache(has_verb ? verb : "list", args);
   } else {  // pipeline
     rc = CmdPipeline(has_verb ? verb : "describe", args);
   }
