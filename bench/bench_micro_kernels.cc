@@ -105,6 +105,26 @@ void BM_EncoderForwardFp32(benchmark::State& state) {
 }
 BENCHMARK(BM_EncoderForwardFp32);
 
+// One joint-loop step of the frozen encoder at lcomb-narrow's shape: 32
+// samples of D' = 5 adapted channels, i.e. 160 series of T = 51 (6
+// patches), forward in training mode (dropout on) and backward to the
+// encoder's input, which is what the adapter's gradient needs. The
+// encoder's weights take no gradient, as in the joint loop.
+void BM_EncoderTrainStep(benchmark::State& state) {
+  Rng rng(10);
+  models::MomentModel model(models::MomentSmallConfig(), &rng);
+  for (ag::Var& p : model.Parameters()) p.set_requires_grad(false);
+  const Tensor x = Tensor::RandN({32, 51, 5}, &rng);
+  Rng dropout_rng(11);
+  const nn::ForwardContext ctx{/*training=*/true, &dropout_rng};
+  for (auto _ : state) {
+    ag::Var in(x, /*requires_grad=*/true);
+    ag::MeanAll(model.EncodeChannels(in, ctx)).Backward();
+    benchmark::DoNotOptimize(in.grad().data());
+  }
+}
+BENCHMARK(BM_EncoderTrainStep);
+
 void BM_BroadcastAdd(benchmark::State& state) {
   Rng rng(4);
   Tensor a = Tensor::RandN({64, 128, 64}, &rng);

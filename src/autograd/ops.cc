@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "runtime/thread_pool.h"
+#include "tensor/attention.h"
 #include "tensor/ops.h"
 
 namespace tsfm::ag {
@@ -50,8 +51,25 @@ Tensor ScatterSlice(const Tensor& g, const Shape& orig_shape, int64_t axis,
   return out;
 }
 
+// For single-input closures, whose input is the one that takes a gradient.
+// A closure with several inputs checks each input's flag before it computes
+// that input's gradient, so a frozen or constant input costs nothing.
 void AccumulateIfNeeded(const std::shared_ptr<Node>& input, const Tensor& g) {
   if (input->requires_grad) input->AccumulateGrad(g);
+}
+
+// Inverted-dropout multipliers for a tensor of `shape`: 0 with probability
+// p, else 1/(1 − p), drawn from `rng` in row-major order.
+Tensor DropoutMask(const Shape& shape, float p, Rng* rng) {
+  TSFM_CHECK_LT(p, 1.0f);
+  TSFM_CHECK(rng != nullptr);
+  Tensor mask = Tensor::Empty(shape);
+  float* pm = mask.mutable_data();
+  const float keep_scale = 1.0f / (1.0f - p);
+  for (int64_t i = 0; i < mask.numel(); ++i) {
+    pm[i] = rng->Uniform() < p ? 0.0f : keep_scale;
+  }
+  return mask;
 }
 
 }  // namespace
@@ -63,10 +81,11 @@ Var Add(const Var& a, const Var& b) {
   return MakeNode(
       std::move(out), {a, b},
       [](Node* n) {
-        AccumulateIfNeeded(n->inputs[0],
-                           ReduceToShape(n->grad, n->inputs[0]->value.shape()));
-        AccumulateIfNeeded(n->inputs[1],
-                           ReduceToShape(n->grad, n->inputs[1]->value.shape()));
+        for (const auto& in : n->inputs) {
+          if (in->requires_grad) {
+            in->AccumulateGrad(ReduceToShape(n->grad, in->value.shape()));
+          }
+        }
       },
       "Add");
 }
@@ -76,11 +95,15 @@ Var Sub(const Var& a, const Var& b) {
   return MakeNode(
       std::move(out), {a, b},
       [](Node* n) {
-        AccumulateIfNeeded(n->inputs[0],
-                           ReduceToShape(n->grad, n->inputs[0]->value.shape()));
-        AccumulateIfNeeded(
-            n->inputs[1],
-            ReduceToShape(tsfm::Neg(n->grad), n->inputs[1]->value.shape()));
+        const auto& a = n->inputs[0];
+        const auto& b = n->inputs[1];
+        if (a->requires_grad) {
+          a->AccumulateGrad(ReduceToShape(n->grad, a->value.shape()));
+        }
+        if (b->requires_grad) {
+          b->AccumulateGrad(
+              ReduceToShape(tsfm::Neg(n->grad), b->value.shape()));
+        }
       },
       "Sub");
 }
@@ -90,14 +113,16 @@ Var Mul(const Var& a, const Var& b) {
   return MakeNode(
       std::move(out), {a, b},
       [](Node* n) {
-        AccumulateIfNeeded(
-            n->inputs[0],
-            ReduceToShape(tsfm::Mul(n->grad, n->inputs[1]->value),
-                          n->inputs[0]->value.shape()));
-        AccumulateIfNeeded(
-            n->inputs[1],
-            ReduceToShape(tsfm::Mul(n->grad, n->inputs[0]->value),
-                          n->inputs[1]->value.shape()));
+        const auto& a = n->inputs[0];
+        const auto& b = n->inputs[1];
+        if (a->requires_grad) {
+          a->AccumulateGrad(
+              ReduceToShape(tsfm::Mul(n->grad, b->value), a->value.shape()));
+        }
+        if (b->requires_grad) {
+          b->AccumulateGrad(
+              ReduceToShape(tsfm::Mul(n->grad, a->value), b->value.shape()));
+        }
       },
       "Mul");
 }
@@ -109,8 +134,10 @@ Var Div(const Var& a, const Var& b) {
       [](Node* n) {
         const Tensor& av = n->inputs[0]->value;
         const Tensor& bv = n->inputs[1]->value;
-        AccumulateIfNeeded(n->inputs[0],
-                           ReduceToShape(tsfm::Div(n->grad, bv), av.shape()));
+        if (n->inputs[0]->requires_grad) {
+          n->inputs[0]->AccumulateGrad(
+              ReduceToShape(tsfm::Div(n->grad, bv), av.shape()));
+        }
         if (n->inputs[1]->requires_grad) {
           // d/db (a/b) = -a / b^2
           Tensor gb = tsfm::Neg(
@@ -443,15 +470,42 @@ Var LayerNorm(const Var& x, const Var& gamma, const Var& beta, float epsilon) {
 
 Var Dropout(const Var& a, float p, bool training, Rng* rng) {
   if (!training || p <= 0.0f) return a;
-  TSFM_CHECK_LT(p, 1.0f);
-  TSFM_CHECK(rng != nullptr);
-  Tensor mask = Tensor::Empty(a.shape());
-  float* pm = mask.mutable_data();
-  const float keep_scale = 1.0f / (1.0f - p);
-  for (int64_t i = 0; i < mask.numel(); ++i) {
-    pm[i] = rng->Uniform() < p ? 0.0f : keep_scale;
+  return Mul(a, Constant(DropoutMask(a.shape(), p, rng)));
+}
+
+Var Attention(const Var& q, const Var& k, const Var& v, int64_t num_heads,
+              float dropout, bool training, Rng* rng) {
+  TSFM_CHECK_EQ(q.ndim(), 3) << "Attention expects (N, S, E)";
+  const bool masked = training && dropout > 0.0f;
+  Tensor mask;
+  if (masked) {
+    const int64_t s = q.dim(1);
+    mask = DropoutMask(Shape{q.dim(0), num_heads, s, s}, dropout, rng);
   }
-  return Mul(a, Constant(mask));
+  // Grad mode first, as in MakeNode: a no-grad forward reads no flag. Only
+  // a tape keeps the (N, H, S, S) probabilities.
+  const bool tape = GradEnabled() && (q.requires_grad() ||
+                                      k.requires_grad() || v.requires_grad());
+  Tensor probs;
+  Tensor out = tsfm::Attention(q.value(), k.value(), v.value(), num_heads,
+                               masked ? &mask : nullptr,
+                               tape ? &probs : nullptr);
+  return MakeNode(
+      std::move(out), {q, k, v},
+      [probs, mask, masked, num_heads](Node* n) {
+        const auto& in = n->inputs;
+        Tensor grads[3];
+        tsfm::AttentionBackward(
+            n->grad, in[0]->value, in[1]->value, in[2]->value, probs,
+            masked ? &mask : nullptr, num_heads,
+            in[0]->requires_grad ? &grads[0] : nullptr,
+            in[1]->requires_grad ? &grads[1] : nullptr,
+            in[2]->requires_grad ? &grads[2] : nullptr);
+        for (size_t i = 0; i < 3; ++i) {
+          if (in[i]->requires_grad) in[i]->AccumulateGrad(grads[i]);
+        }
+      },
+      "Attention");
 }
 
 Var CrossEntropy(const Var& logits, const std::vector<int64_t>& labels) {

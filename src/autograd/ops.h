@@ -71,6 +71,16 @@ Var LayerNorm(const Var& x, const Var& gamma, const Var& beta,
 /// `training` is false or p == 0.
 Var Dropout(const Var& a, float p, bool training, Rng* rng);
 
+/// Multi-head scaled dot-product attention over the (N, S, E) Q, K and V
+/// projections, as one tape node (tsfm::Attention / AttentionBackward).
+/// Returns the (N, S, E) context. When `training` and `dropout` > 0 it
+/// draws an (N, H, S, S) inverted-dropout mask for the probabilities from
+/// `rng`, exactly as Dropout would on them. Output and gradients have the
+/// bits of Reshape/Permute into heads, MatMul(q, kᵀ), Scale(1/sqrt(Dh)),
+/// Softmax, Dropout, MatMul(·, v) and merging the heads back.
+Var Attention(const Var& q, const Var& k, const Var& v, int64_t num_heads,
+              float dropout, bool training, Rng* rng);
+
 // ---------------------------------------------------------------------------
 // Losses (fused forward+backward for numerical stability).
 // ---------------------------------------------------------------------------

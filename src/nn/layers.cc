@@ -64,47 +64,28 @@ ag::Var FeedForward::Forward(const ag::Var& x,
 MultiHeadSelfAttention::MultiHeadSelfAttention(int64_t d_model,
                                                int64_t num_heads,
                                                float dropout, Rng* rng)
-    : d_model_(d_model), num_heads_(num_heads), d_head_(d_model / num_heads) {
+    : d_model_(d_model), num_heads_(num_heads), attn_dropout_(dropout) {
   TSFM_CHECK_EQ(d_model % num_heads, 0)
       << "d_model must be divisible by num_heads";
   wq_ = std::make_shared<Linear>(d_model, d_model, rng);
   wk_ = std::make_shared<Linear>(d_model, d_model, rng);
   wv_ = std::make_shared<Linear>(d_model, d_model, rng);
   wo_ = std::make_shared<Linear>(d_model, d_model, rng);
-  attn_dropout_ = std::make_shared<Dropout>(dropout);
   RegisterModule("wq", wq_);
   RegisterModule("wk", wk_);
   RegisterModule("wv", wv_);
   RegisterModule("wo", wo_);
-  RegisterModule("attn_dropout", attn_dropout_);
 }
 
 ag::Var MultiHeadSelfAttention::Forward(const ag::Var& x,
                                         const ForwardContext& ctx) const {
   TSFM_CHECK_EQ(x.ndim(), 3);
-  const int64_t b = x.dim(0);
-  const int64_t s = x.dim(1);
   TSFM_CHECK_EQ(x.dim(2), d_model_);
-
-  auto split_heads = [&](const ag::Var& t) {
-    // (B, S, E) -> (B, H, S, Dh)
-    ag::Var r = ag::Reshape(t, Shape{b, s, num_heads_, d_head_});
-    return ag::Permute(r, {0, 2, 1, 3});
-  };
-
-  ag::Var q = split_heads(wq_->Forward(x));
-  ag::Var k = split_heads(wk_->Forward(x));
-  ag::Var v = split_heads(wv_->Forward(x));
-
-  const float scale = 1.0f / std::sqrt(static_cast<float>(d_head_));
-  ag::Var scores =
-      ag::Scale(ag::MatMul(q, ag::TransposeLast2(k)), scale);  // (B,H,S,S)
-  ag::Var attn = ag::Softmax(scores);
-  attn = attn_dropout_->Forward(attn, ctx);
-  ag::Var ctx_heads = ag::MatMul(attn, v);  // (B,H,S,Dh)
-  ag::Var merged =
-      ag::Reshape(ag::Permute(ctx_heads, {0, 2, 1, 3}), Shape{b, s, d_model_});
-  return wo_->Forward(merged);
+  const ag::Var q = wq_->Forward(x);
+  const ag::Var k = wk_->Forward(x);
+  const ag::Var v = wv_->Forward(x);
+  return wo_->Forward(ag::Attention(q, k, v, num_heads_, attn_dropout_,
+                                    ctx.training, ctx.rng));
 }
 
 TransformerEncoderLayer::TransformerEncoderLayer(int64_t d_model,

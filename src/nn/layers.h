@@ -73,7 +73,9 @@ class FeedForward : public Module {
   Activation activation_;
 };
 
-/// Multi-head scaled-dot-product self-attention over (B, S, E) inputs.
+/// Multi-head scaled-dot-product self-attention over (B, S, E) inputs: the
+/// Q, K, V projections, one ag::Attention node with dropout on the
+/// attention probabilities, and the output projection.
 class MultiHeadSelfAttention : public Module {
  public:
   MultiHeadSelfAttention(int64_t d_model, int64_t num_heads, float dropout,
@@ -86,12 +88,11 @@ class MultiHeadSelfAttention : public Module {
  private:
   int64_t d_model_;
   int64_t num_heads_;
-  int64_t d_head_;
+  float attn_dropout_;
   std::shared_ptr<Linear> wq_;
   std::shared_ptr<Linear> wk_;
   std::shared_ptr<Linear> wv_;
   std::shared_ptr<Linear> wo_;
-  std::shared_ptr<Dropout> attn_dropout_;
 };
 
 /// Pre-norm transformer encoder layer:

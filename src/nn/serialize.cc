@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <sstream>
 
@@ -38,6 +39,15 @@ class PayloadReader {
 
   bool ReadU64(uint64_t* v) { return ReadBytes(v, sizeof(*v)); }
 
+  // The next `n` bytes, or null when fewer remain.
+  const char* Skip(size_t n) {
+    if (remaining_ < n) return nullptr;
+    const char* at = p_;
+    p_ += n;
+    remaining_ -= n;
+    return at;
+  }
+
   bool ReadBytes(void* dst, size_t n) {
     if (remaining_ < n) return false;
     std::memcpy(dst, p_, n);
@@ -53,25 +63,12 @@ class PayloadReader {
   size_t remaining_;
 };
 
-}  // namespace
-
-Status SaveCheckpoint(const Module& module, const std::string& path) {
-  const auto params = module.NamedParameters();
-  std::ostringstream os;
-  WriteU64(os, params.size());
-  for (const auto& [name, p] : params) {
-    WriteU64(os, name.size());
-    os.write(name.data(), static_cast<std::streamsize>(name.size()));
-    const Tensor t = p.value().Contiguous();  // views serialize packed
-    WriteU64(os, static_cast<uint64_t>(t.ndim()));
-    for (int64_t d : t.shape()) WriteU64(os, static_cast<uint64_t>(d));
-    os.write(reinterpret_cast<const char*>(t.data()),
-             static_cast<std::streamsize>(t.numel() * sizeof(float)));
-  }
-  return io::WriteArtifact(path, kMagic, kVersion, os.str());
-}
-
-Status LoadCheckpoint(Module* module, const std::string& path) {
+// Walks the checkpoint at `path` record by record, checking every length
+// field against the bytes that remain, and hands each record's name, shape
+// and float32 data to `visit`.
+Status ForEachRecord(
+    const std::string& path,
+    const std::function<void(std::string, Shape, const char*)>& visit) {
   TSFM_ASSIGN_OR_RETURN(const std::string payload,
                         io::ReadArtifactPayload(path, kMagic, kVersion));
   PayloadReader in(payload);
@@ -81,8 +78,6 @@ Status LoadCheckpoint(Module* module, const std::string& path) {
   if (count > in.remaining() / 16) {
     return Status::IoError("implausible parameter count in checkpoint");
   }
-
-  std::map<std::string, Tensor> records;
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t name_len = 0;
     if (!in.ReadU64(&name_len)) return Status::IoError("truncated checkpoint");
@@ -111,15 +106,53 @@ Status LoadCheckpoint(Module* module, const std::string& path) {
       shape[d] = static_cast<int64_t>(dim);
       numel *= dim;
     }
-    Tensor t = Tensor::Empty(shape);
-    if (!in.ReadBytes(t.mutable_data(), numel * sizeof(float))) {
-      return Status::IoError("truncated checkpoint data");
-    }
-    records.emplace(std::move(name), std::move(t));
+    const char* data = in.Skip(numel * sizeof(float));
+    if (data == nullptr) return Status::IoError("truncated checkpoint data");
+    visit(std::move(name), std::move(shape), data);
   }
   if (in.remaining() != 0) {
     return Status::IoError("trailing bytes after checkpoint records");
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status SaveCheckpoint(const Module& module, const std::string& path) {
+  const auto params = module.NamedParameters();
+  std::ostringstream os;
+  WriteU64(os, params.size());
+  for (const auto& [name, p] : params) {
+    WriteU64(os, name.size());
+    os.write(name.data(), static_cast<std::streamsize>(name.size()));
+    const Tensor t = p.value().Contiguous();  // views serialize packed
+    WriteU64(os, static_cast<uint64_t>(t.ndim()));
+    for (int64_t d : t.shape()) WriteU64(os, static_cast<uint64_t>(d));
+    os.write(reinterpret_cast<const char*>(t.data()),
+             static_cast<std::streamsize>(t.numel() * sizeof(float)));
+  }
+  return io::WriteArtifact(path, kMagic, kVersion, os.str());
+}
+
+Result<std::map<std::string, Shape>> ReadCheckpointShapes(
+    const std::string& path) {
+  std::map<std::string, Shape> shapes;
+  TSFM_RETURN_IF_ERROR(ForEachRecord(
+      path, [&](std::string name, Shape shape, const char* /*data*/) {
+        shapes.emplace(std::move(name), std::move(shape));
+      }));
+  return shapes;
+}
+
+Status LoadCheckpoint(Module* module, const std::string& path) {
+  std::map<std::string, Tensor> records;
+  TSFM_RETURN_IF_ERROR(ForEachRecord(
+      path, [&](std::string name, Shape shape, const char* data) {
+        Tensor t = Tensor::Empty(std::move(shape));
+        std::memcpy(t.mutable_data(), data,
+                    static_cast<size_t>(t.numel()) * sizeof(float));
+        records.emplace(std::move(name), std::move(t));
+      }));
 
   auto params = module->NamedParameters();
   if (params.size() != records.size()) {

@@ -58,6 +58,17 @@ Result<std::optional<core::AdapterKind>> SavedAdapterKind(
   return std::optional<core::AdapterKind>((*adapter)->kind());
 }
 
+Result<int64_t> SavedNumClasses(const std::string& prefix) {
+  const std::string path = HeadArtifactPath(prefix);
+  TSFM_ASSIGN_OR_RETURN(const auto shapes, nn::ReadCheckpointShapes(path));
+  const auto it = shapes.find("fc/weight");
+  if (it == shapes.end() || it->second.size() != 2) {
+    return Status::IoError("head checkpoint " + path +
+                           " has no fc/weight matrix");
+  }
+  return it->second[1];
+}
+
 Result<FittedBundle> LoadFittedBundle(const std::string& prefix,
                                       bool expect_adapter,
                                       int64_t embedding_dim,

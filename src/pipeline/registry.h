@@ -52,6 +52,11 @@ struct FittedBundle {
 Result<std::optional<core::AdapterKind>> SavedAdapterKind(
     const std::string& prefix);
 
+/// The class count of the head saved under `prefix`: the output width of
+/// its `fc/weight`, read from `<prefix>.head`'s shapes. IoError (or the
+/// checkpoint reader's error) when the head is missing or malformed.
+Result<int64_t> SavedNumClasses(const std::string& prefix);
+
 /// Reads a bundle written by SaveFittedBundle. `expect_adapter` selects
 /// whether `<prefix>.adapter` must exist; `embedding_dim`/`num_classes`
 /// shape the head the checkpoint is loaded into.

@@ -104,8 +104,8 @@ TEST_F(DeterminismTest, PcaFitAndTransform) {
   ExpectBitIdentical(fit_transform, "PCA fit+transform");
 }
 
-// The whole eval forward of both bench-scale encoders: patch embed,
-// attention (batched matmul, softmax), layer norm, GELU MLP and the two
+// The whole eval forward of both bench-scale encoders: patch embed, the
+// attention kernel, layer norm, GELU MLP and the two
 // mean-pools must compose into a thread-count-independent result. Under
 // no-grad the series are encoded in fixed chunks; with grad on they go
 // through every op at once. Both paths must give the same bits, for series

@@ -13,16 +13,17 @@
 //       persists the fitted bundle (<prefix>.adapter when there is an
 //       adapter, <prefix>.head, <prefix>.stats) for predict, serve and
 //       `pipeline describe`.
-//   tsfm predict --prefix saved_prefix --input data.csv --classes C
+//   tsfm predict --prefix saved_prefix --input data.csv [--classes C]
 //                 [--model moment|vit] [--adapter PCA|...|none] [--dprime 5]
 //                 [--checkpoint path] [--out labels.txt]
 //       Load a fitted bundle and print one predicted label per input sample
 //       (the offline reference the serve smoke diffs responses against).
-//       The bundle fixes the adapter: with no --adapter, predict, serve and
-//       `pipeline describe` use the one it was saved with (none when there
-//       is no <prefix>.adapter), and an --adapter or --dprime given to them
-//       must match it.
-//   tsfm serve --prefix saved_prefix --classes C [--port 7070] [--host IP]
+//       The bundle fixes the adapter and the class count: predict, serve
+//       and `pipeline describe` use the adapter it was saved with (none
+//       when there is no <prefix>.adapter) and the class count of
+//       <prefix>.head, and an --adapter, --dprime or --classes given to
+//       them must match it.
+//   tsfm serve --prefix saved_prefix [--classes C] [--port 7070] [--host IP]
 //                 [--model moment|vit] [--adapter PCA|...|none] [--dprime 5]
 //                 [--checkpoint path] [--name default]
 //                 [--max-batch 64] [--max-pending 256]
@@ -44,7 +45,7 @@
 //   tsfm serve-stats [--port 7070] [--follow] [--interval-ms 1000]
 //       Scrape a running server's metrics in Prometheus text exposition
 //       format (one shot, or repeatedly with --follow).
-//   tsfm pipeline describe --prefix saved_prefix --classes C
+//   tsfm pipeline describe --prefix saved_prefix [--classes C]
 //                 [--model moment|vit] [--adapter PCA|...|none] [--dprime 5]
 //                 [--checkpoint path]
 //       Load a fitted bundle as predict does and print the stages its
@@ -449,7 +450,7 @@ const char* AdapterLabel(std::optional<core::AdapterKind> kind) {
 // `serve` and `pipeline describe`; on success the out-params describe what
 // was installed.
 int LoadServingSession(
-    const Args& args, const std::string& name, int64_t default_classes,
+    const Args& args, const std::string& name,
     std::shared_ptr<const models::FoundationModel>* model_out,
     std::optional<core::AdapterKind>* adapter_out, int64_t* classes_out,
     std::shared_ptr<const pipeline::InferenceSession>* session_out) {
@@ -470,15 +471,24 @@ int LoadServingSession(
   config.checkpoint_path =
       GetOr(args, "checkpoint",
             std::string("checkpoints/cli_") + model_name + ".ckpt");
-  int64_t classes = 0;
+  int64_t given_classes = 0;
   int64_t dprime = 0;
-  if (!GetNumber(args, "classes", default_classes, &classes) ||
+  if (!GetNumber<int64_t>(args, "classes", 0, &given_classes) ||
       !GetNumber<int64_t>(args, "dprime", 0, &dprime)) {
     return 1;
   }
-  if (classes <= 0) {
-    std::fprintf(stderr, "needs --classes (the fitted head's logit "
-                         "count)\n");
+  // The head records its class count; a --classes that disagrees is
+  // refused like a wrong --adapter or --dprime.
+  auto classes = pipeline::SavedNumClasses(prefix);
+  if (!classes.ok()) {
+    std::fprintf(stderr, "%s\n", classes.status().ToString().c_str());
+    return 1;
+  }
+  if (args.values.count("classes") && given_classes != *classes) {
+    std::fprintf(stderr, "--classes %lld does not match the bundle at %s, "
+                         "whose head has %lld classes\n",
+                 static_cast<long long>(given_classes), prefix.c_str(),
+                 static_cast<long long>(*classes));
     return 1;
   }
   // The bundle records its adapter; an --adapter that disagrees is a wrong
@@ -510,7 +520,7 @@ int LoadServingSession(
   }
   std::shared_ptr<const models::FoundationModel> frozen = *model;
   auto session = pipeline::Registry::Instance().LoadAndInstall(
-      name, prefix, frozen, config.adapter, classes,
+      name, prefix, frozen, config.adapter, *classes,
       pipeline::SessionOptions{});
   if (!session.ok()) {
     std::fprintf(stderr, "%s\n", session.status().ToString().c_str());
@@ -527,7 +537,7 @@ int LoadServingSession(
   }
   *model_out = std::move(frozen);
   *adapter_out = config.adapter;
-  *classes_out = classes;
+  *classes_out = *classes;
   *session_out = *session;
   return 0;
 }
@@ -549,8 +559,8 @@ int CmdPredict(const Args& args) {
   std::optional<core::AdapterKind> adapter;
   int64_t classes = 0;
   std::shared_ptr<const pipeline::InferenceSession> session;
-  if (int rc = LoadServingSession(args, "predict", ds->num_classes, &model,
-                                  &adapter, &classes, &session);
+  if (int rc = LoadServingSession(args, "predict", &model, &adapter,
+                                  &classes, &session);
       rc != 0) {
     return rc;
   }
@@ -586,7 +596,7 @@ int CmdServeRun(const Args& args) {
   std::optional<core::AdapterKind> adapter;
   int64_t classes = 0;
   std::shared_ptr<const pipeline::InferenceSession> session;
-  if (int rc = LoadServingSession(args, name, 0, &model, &adapter, &classes,
+  if (int rc = LoadServingSession(args, name, &model, &adapter, &classes,
                                   &session);
       rc != 0) {
     return rc;
@@ -748,7 +758,7 @@ int CmdPipeline(const std::string& verb, const Args& args) {
   std::optional<core::AdapterKind> adapter;
   int64_t classes = 0;
   std::shared_ptr<const pipeline::InferenceSession> session;
-  if (int rc = LoadServingSession(args, "cli", 0, &model, &adapter, &classes,
+  if (int rc = LoadServingSession(args, "cli", &model, &adapter, &classes,
                                   &session);
       rc != 0) {
     return rc;
@@ -773,6 +783,8 @@ int Usage() {
                "       [--trace out.json] [--profile out.txt|.json|.folded]\n"
                "       [--metrics [dest]] [--report [dir]] [--threads N]\n"
                "       [--mem-budget BYTES[K|M|G]] [--time-budget SECONDS]\n"
+               "predict, serve and pipeline describe take the adapter and\n"
+               "class count from the bundle at --prefix\n"
                "see the header of tools/tsfm_cli.cc for details\n");
   return 1;
 }
